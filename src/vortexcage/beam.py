@@ -6,7 +6,7 @@ The positive-frequency part of the vector potential is
 
 with rho', phi' measured from the optical axis (offset from the cage center
 by ``offset``); the physical field is A+ + c.c.  The longitudinal phase
-exp(i q_z z) is dropped (q_z z << 1 on the cage scale).  Peak-amplitude
+exp(i omega z / c) is dropped (omega z / c << 1 on the cage scale).  Peak-amplitude
 normalization makes max_rho |C f| = a0 for every topological charge; the
 printed-formula variant (peak suppressed by exp(-|m|)) stays available
 behind ``legacy_normalization``.
@@ -15,13 +15,13 @@ behind ``legacy_normalization``.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .numerics import laguerre
-from .units import (AU_INTENSITY_W_CM2, FINE_STRUCTURE, ev_to_hartree,
-                    field_amplitude_au, fs_to_au, nm_to_bohr)
+from .units import (AU_INTENSITY_W_CM2, ev_to_hartree, field_amplitude_au,
+                    fs_to_au, nm_to_bohr)
 
 __all__ = [
     "VortexPulse",
@@ -100,16 +100,13 @@ class VortexPulse:
     waist: float                # w0, bohr
     p: int = 0                  # radial index
     offset: tuple[float, float] = (0.0, 0.0)   # optical-axis position, bohr
-    polarization: tuple[float, float, float] = (1.0, 0.0, 0.0)
     legacy_normalization: bool = False
-    q_z: float = field(init=False)             # carried, dropped in phase
 
     def __post_init__(self):
         if self.waist <= 0.0 or self.delta <= 0.0:
             raise ValueError("waist and delta must be positive")
         if abs(self.m_oam) > 40 or not (0 <= self.p <= 8):
             raise ValueError(f"unsupported mode indices m={self.m_oam}, p={self.p}")
-        object.__setattr__(self, "q_z", self.omega * FINE_STRUCTURE)
 
     @classmethod
     def from_experimental(cls, m_oam: int, omega_ev: float, waist_nm: float,
@@ -143,10 +140,6 @@ class VortexPulse:
     def intensity_w_cm2(self) -> float:
         """Intensity implied by I = (1/2) eps0 c (omega a0)^2."""
         return (self.omega * self.a0) ** 2 * AU_INTENSITY_W_CM2
-
-    @property
-    def rho_peak(self) -> float:
-        return rho_max(self.m_oam, self.waist)
 
     def envelope(self, t):
         return np.exp(-self.delta * np.asarray(t) ** 2)
@@ -219,13 +212,13 @@ def _profile_with_derivative(pulse: VortexPulse, rho):
 def vector_potential(pulse: VortexPulse, points, t: float) -> np.ndarray:
     """Positive-frequency vector potential at time t, shape (..., 3).
 
-    The physical (real) field adds the complex conjugate; that sum is
-    handled where dynamics needs it.
+    The field points along x-hat.  The physical (real) field adds the
+    complex conjugate; that sum is handled where dynamics needs it.
     """
     a_x, _ = pulse.spatial_amplitude(points)
     carrier = np.exp(-1j * pulse.omega * t) * pulse.envelope(t)
-    pol = np.asarray(pulse.polarization, dtype=float)
-    out = a_x[..., None] * carrier * pol
+    out = np.zeros(a_x.shape + (3,), dtype=complex)
+    out[..., 0] = a_x * carrier
     return out[0] if np.asarray(points).ndim == 1 else out
 
 

@@ -210,15 +210,13 @@ def cmd_charge_sweep(run: RunConfig, out_dir: Path, threads: int) -> ScanResult:
     charges = [int(c) for c in run.raw["scan"]["charges"]]
     grid = run.make_grid(max_abs_charge=max((abs(c) for c in charges),
                                             default=1))
-    ratio = run.raw["pulse"]["rho0_ratio"] or 0.0
+    ratio = run.raw["pulse"]["rho0_ratio"]    # None with an absolute rho0_nm
 
     def point(m):
-        rho0 = 0.0 if (m == 0 or ratio == 0) \
-            else ratio * beam.rho_max(m, run.waist)
-        pulse = run.make_pulse(m_oam=m, rho0=rho0)
+        pulse = run.make_pulse(m_oam=m)
         ts = coupling.build_transition_set(run.basis, pulse, grid)
-        meta = {"m_oam": m, "rho_ratio": ratio if m != 0 else 0.0,
-                "rho0_bohr": rho0}
+        meta = {"m_oam": m, "rho_ratio": 0.0 if m == 0 and ratio else ratio,
+                "rho0_bohr": pulse.offset[0]}
         return _evaluate_point(run, grid, ts,
                                run.raw["pulse"]["omega_ev"], meta)
 
@@ -231,8 +229,9 @@ def cmd_charge_sweep(run: RunConfig, out_dir: Path, threads: int) -> ScanResult:
 
     resp = {r["m_oam"]: abs(r["B_center_uT"]) for r in result.records}
     peak = max(resp.values(), default=0.0)
+    centred = not any(r["rho0_bohr"] for r in result.records)
     lines = []
-    if peak > 0.0 and ratio == 0.0:
+    if peak > 0.0 and centred:
         live = [m for m, v in resp.items() if m >= 1 and v > 1e-10 * peak]
         if live and max(live) < max(charges):
             lines.append(f"cutoff charge: computed {max(live)} "
@@ -240,7 +239,7 @@ def cmd_charge_sweep(run: RunConfig, out_dir: Path, threads: int) -> ScanResult:
         argmax = max(resp, key=lambda m: resp[m])
         lines.append(f"peak-field charge: computed {argmax} "
                      f"(reference value 3)")
-    if peak > 0.0 and ratio > 0.0:
+    if peak > 0.0 and not centred:
         high = [m for m in (14, 20) if m in resp]
         if len(high) == 2 and resp[high[0]] > 0:
             flat = abs(resp[high[1]] - resp[high[0]]) / resp[high[0]]
@@ -318,8 +317,8 @@ def _run_checks(run: RunConfig):
     yield ("ball-volume", dev < 1e-10, f"rel dev {dev:.2e}", "check")
 
     orbs = list(basis.orbitals)
-    psi, _ = structure.orbital_tables(basis, orbs, grid.points)
-    gram = np.einsum("in,n,jn->ij", psi.conj(), grid.weights, psi)
+    psi, _ = structure.orbital_tables(basis, orbs, grid)
+    gram = (psi.conj() * grid.weights) @ psi.T
     dev = float(np.abs(gram - np.eye(len(orbs))).max())
     yield ("basis-gram-identity", dev < 1e-8, f"max dev {dev:.2e}", "check")
 

@@ -8,7 +8,7 @@ stripped) acts as
 covering both the transversal A.grad and longitudinal (div A) pieces of the
 symmetrized momentum coupling.  Any object exposing
 ``spatial_amplitude(points) -> (A_x, dA_x/dx)`` works as the field; the
-polarization is along x throughout.
+vector potential points along x throughout.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import structure
-from .numerics import QuadratureGrid
+from .numerics import QuadratureGrid, build_grid
 
 __all__ = [
     "ConvergenceWarning",
@@ -57,23 +57,20 @@ class TransitionSet:
 def apply_interaction(field, orbitals, basis: structure.Basis, points):
     """Interaction operator applied to orbitals, sampled at points.
 
-    Returns (n_orb, n_pts) complex values of
-    -(i/2)(dA_x/dx) psi - i A_x dpsi/dx.
+    ``points`` is a QuadratureGrid or an (n, 3) array.  Returns (n_orb,
+    n_pts) complex values of -(i/2)(dA_x/dx) psi - i A_x dpsi/dx.
     """
     orbitals = orbitals if isinstance(orbitals, (list, tuple)) else [orbitals]
-    pts = np.atleast_2d(np.asarray(points, dtype=float))
-    a_x, div = field.spatial_amplitude(pts)
-    psi, grad = structure.orbital_tables(basis, orbitals, pts)
+    a_x, div = field.spatial_amplitude(np.atleast_2d(np.asarray(points, dtype=float)))
+    psi, grad = structure.orbital_tables(basis, orbitals, points)
     return -0.5j * div * psi - 1j * a_x * grad[:, :, 0]
 
 
 def interaction_matrix(field, basis: structure.Basis, row_orbitals,
                        col_orbitals, grid: QuadratureGrid) -> np.ndarray:
     """Quadrature matrix <row_j | H | col_k>, shape (n_rows, n_cols)."""
-    rows = list(row_orbitals)
-    cols = list(col_orbitals)
-    applied = apply_interaction(field, cols, basis, grid.points)
-    psi_rows, _ = structure.orbital_tables(basis, rows, grid.points)
+    applied = apply_interaction(field, list(col_orbitals), basis, grid)
+    psi_rows, _ = structure.orbital_tables(basis, row_orbitals, grid)
     return np.einsum("jn,n,kn->jk", psi_rows.conj(), grid.weights, applied)
 
 
@@ -86,22 +83,17 @@ def matrix_element(basis: structure.Basis, k_orbital, j_orbital, field,
     and a ConvergenceWarning is emitted if it moves by more than 1e-6
     relative.
     """
-    val = complex(interaction_matrix(field, basis, [j_orbital], [k_orbital],
-                                     grid)[0, 0])
-    if check_convergence:
-        fine = _refined(grid)
-        ref = complex(interaction_matrix(field, basis, [j_orbital],
-                                         [k_orbital], fine)[0, 0])
-        scale = max(abs(ref), 1e-300)
-        if abs(ref - val) / scale > 1e-6:
-            warnings.warn(
-                f"matrix element changed by {abs(ref - val) / scale:.2e} "
-                f"under grid refinement", ConvergenceWarning)
-    return val
+    ts = build_transition_set(basis, field, grid, occupied=[k_orbital],
+                              unoccupied=[j_orbital], prune=False,
+                              check_convergence=check_convergence)
+    return complex(ts.matrix[0, 0])
 
 
 def _refined(grid: QuadratureGrid) -> QuadratureGrid:
-    from .numerics import build_grid
+    """The grid with 3/2 the radial nodes and angular order + 6.
+
+    The input grid already passed the basis gate, so it is not re-applied.
+    """
     return build_grid(grid.r_min, grid.r_max, grid.n_radial * 3 // 2,
                       grid.angular_order + 6)
 
@@ -113,7 +105,9 @@ def build_transition_set(basis: structure.Basis, pulse, grid: QuadratureGrid,
     """All (occupied band-2) x (unoccupied band-3) elements by default.
 
     Rows follow ``unoccupied`` order, columns ``occupied`` order.  Entries
-    below 1e-14 * max|M| are zeroed and recorded in ``pruned``.
+    below 1e-14 * max|M| are zeroed and recorded in ``pruned``.  With
+    ``check_convergence`` the set is recomputed on the refined grid;
+    a ConvergenceWarning flags a drift above 1e-6 of max|M|.
     """
     if occupied is None:
         occupied = [o for o in basis.band_orbitals(2) if o.occupied]
@@ -124,8 +118,8 @@ def build_transition_set(basis: structure.Basis, pulse, grid: QuadratureGrid,
     mat = interaction_matrix(pulse, basis, unoccupied, occupied, grid)
     conv = None
     if check_convergence:
-        fine = _build_refined(basis, grid)
-        ref = interaction_matrix(pulse, basis, unoccupied, occupied, fine)
+        ref = interaction_matrix(pulse, basis, unoccupied, occupied,
+                                 _refined(grid))
         scale = max(float(np.max(np.abs(ref))), 1e-300)
         conv = np.abs(ref - mat) / scale
         worst = float(np.max(conv))
@@ -146,12 +140,6 @@ def build_transition_set(basis: structure.Basis, pulse, grid: QuadratureGrid,
         unoccupied=tuple(o.index for o in unoccupied),
         matrix=mat, pulse=pulse, grid_meta=meta, convergence=conv,
         pruned=pruned)
-
-
-def _build_refined(basis, grid):
-    from .numerics import build_grid
-    return build_grid(grid.r_min, grid.r_max, grid.n_radial * 3 // 2,
-                      grid.angular_order + 6, l_basis_max=basis.l_max)
 
 
 def write_transition_table(ts: TransitionSet, basis: structure.Basis, path):

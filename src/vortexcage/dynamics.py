@@ -66,10 +66,6 @@ class ExcitationState:
     def populations(self) -> np.ndarray:
         return np.abs(self.amplitudes) ** 2
 
-    def spectral_weights(self) -> np.ndarray:
-        """|G|^2 per (target, source) pair, the weights entering the DC sum."""
-        return self.spectral**2
-
 
 def excite(transitions: coupling.TransitionSet, basis: structure.Basis,
            validity_threshold: float = VALIDITY_THRESHOLD,

@@ -103,12 +103,11 @@ def _coherence_blocks(excitation, basis, eta):
 
 def current_samples(excitation, basis, points, eta: float = DEFAULT_ETA,
                     charge_convention: str = "electron") -> np.ndarray:
-    """DC current density at ``points``, shape (n_pts, 3), real."""
-    pts = np.atleast_2d(np.asarray(points, dtype=float))
+    """DC current density at a grid's or an (n, 3) array's points, (n_pts, 3)."""
     unocc, blocks = _coherence_blocks(excitation, basis, eta)
-    psi, grad = structure.orbital_tables(basis, unocc, pts)
+    psi, grad = structure.orbital_tables(basis, unocc, points)
     amps = excitation.amplitudes
-    j = np.zeros((len(pts), 3))
+    j = np.zeros((psi.shape[1], 3))
     for rows in blocks:
         # source-summed coherence matrix C[l, l'] = sum_k conj(B_lk) B_l'k
         b_block = amps[rows, :]
@@ -137,7 +136,7 @@ def dc_current_density(excitation, basis, point, eta: float = DEFAULT_ETA,
 def sample_current(excitation, basis, grid, eta: float = DEFAULT_ETA,
                    charge_convention: str = "electron") -> CurrentField:
     """Current field sampled on an integration grid."""
-    j = current_samples(excitation, basis, grid.points, eta, charge_convention)
+    j = current_samples(excitation, basis, grid, eta, charge_convention)
     return CurrentField(points=grid.points, j=j, weights=grid.weights,
                         charge_convention=charge_convention)
 

@@ -5,6 +5,12 @@ band profiles are Gaussian shells, orthonormalized across bands (sequential
 Gram-Schmidt in band order) so that the full orbital set is orthonormal;
 the orthogonalization is what gives the diffuse top band its radial nodes.
 Band energies follow E_n + l(l+1)/(2 R^2).
+
+Evaluation builds one table of Y_lm and its two angular derivatives over
+all (l, m) up to the largest l requested, and contracts each orbital's
+(2l+1)-entry coefficient block against it, so one-hot and symmetry-table
+orbitals share one path.  On a QuadratureGrid the radial parts are taken on
+the radial nodes and the angular parts on the angular nodes only.
 """
 
 from __future__ import annotations
@@ -89,8 +95,9 @@ def radial_profile(band: BandSpec, r) -> np.ndarray:
     [0, inf) equals 1.  This is the per-band building block; basis orbitals
     use the cross-band orthonormalized combinations.
     """
-    shells = _shell_cache((band,))
-    return shells.bare(0, np.asarray(r, dtype=float))
+    r = np.asarray(r, dtype=float)
+    shells = RadialShellSet([band.shell_radius], [band.shell_width])
+    return shells._bare_all(r.ravel())[0].reshape(r.shape)
 
 
 class RadialShellSet:
@@ -119,30 +126,14 @@ class RadialShellSet:
             -((r[None, :] - self.centers[:, None]) ** 2)
             / (2.0 * self.widths[:, None] ** 2))
 
-    def _bare_d_all(self, r):
-        r = np.asarray(r, dtype=float)
-        g = self._bare_all(r)
-        return -(r[None, :] - self.centers[:, None]) / self.widths[:, None] ** 2 * g
-
-    def bare(self, i: int, r):
-        return self._bare_all(np.atleast_1d(r))[i].reshape(np.shape(r))
-
     def values(self, r):
         """Orthonormalized profiles, shape (n_shells, len(r))."""
         return self.ortho @ self._bare_all(r)
 
     def derivatives(self, r):
-        return self.ortho @ self._bare_d_all(r)
-
-
-_SHELL_CACHE: dict[tuple, RadialShellSet] = {}
-
-
-def _shell_cache(bands: tuple[BandSpec, ...]) -> RadialShellSet:
-    key = tuple((b.shell_radius, b.shell_width) for b in bands)
-    if key not in _SHELL_CACHE:
-        _SHELL_CACHE[key] = RadialShellSet([k[0] for k in key], [k[1] for k in key])
-    return _SHELL_CACHE[key]
+        r = np.asarray(r, dtype=float)
+        slope = -(r[None, :] - self.centers[:, None]) / self.widths[:, None] ** 2
+        return self.ortho @ (slope * self._bare_all(r))
 
 
 # ---------------------------------------------------------------------------
@@ -172,17 +163,12 @@ class Basis:
     cage_radius: float
     shells: RadialShellSet
 
-    spin_degeneracy = 2
-
     @property
     def l_max(self) -> int:
         return max(b.l_max for b in self.bands)
 
     def occupied(self) -> list[Orbital]:
         return [o for o in self.orbitals if o.occupied]
-
-    def unoccupied(self) -> list[Orbital]:
-        return [o for o in self.orbitals if not o.occupied]
 
     def band_orbitals(self, n: int) -> list[Orbital]:
         return [o for o in self.orbitals if o.band == n]
@@ -197,13 +183,9 @@ def _lowest_m_order(l: int) -> list[int]:
 
 
 def _spherical_substates(l: int):
-    return [(f"m{m:+d}", m, _one_hot(l, m)) for m in range(-l, l + 1)]
-
-
-def _one_hot(l: int, m: int) -> np.ndarray:
-    c = np.zeros(2 * l + 1, dtype=complex)
-    c[m + l] = 1.0
-    return c
+    # one-hot in m: the shell's coefficient block is the identity
+    return [(f"m{m:+d}", m, row)
+            for m, row in zip(range(-l, l + 1), np.eye(2 * l + 1, dtype=complex))]
 
 
 def build_basis(bands: tuple[BandSpec, ...] | None = None,
@@ -217,7 +199,8 @@ def build_basis(bands: tuple[BandSpec, ...] | None = None,
     """
     if bands is None:
         bands = default_bands()
-    shells = _shell_cache(bands)
+    shells = RadialShellSet([b.shell_radius for b in bands],
+                            [b.shell_width for b in bands])
     orbitals: list[Orbital] = []
     index = 0
     for pos, band in enumerate(bands):
@@ -298,102 +281,110 @@ def degenerate_groups(orbitals, eta: float = DEFAULT_ETA):
 # evaluation
 # ---------------------------------------------------------------------------
 
-def _spherical_frame(points):
-    pts = np.atleast_2d(np.asarray(points, dtype=float))
-    r = np.linalg.norm(pts, axis=1)
-    safe_r = np.where(r > 0.0, r, 1.0)
-    ct = np.clip(pts[:, 2] / safe_r, -1.0, 1.0)
-    st = np.sqrt(np.maximum(0.0, 1.0 - ct * ct))
-    phi = np.arctan2(pts[:, 1], pts[:, 0])
-    return pts, r, safe_r, ct, st, phi
+def _harmonic_tables(lmax: int, ct, st, phi):
+    """Y_lm, d/dtheta Y_lm and (1/sin theta) d/dphi Y_lm for all l <= lmax.
+
+    Rows follow k = l^2 + l + m, so the coefficient block of an orbital with
+    angular momentum l contracts against rows l^2 .. (l+1)^2 - 1.  Splitting
+    the sin^|m| factor off the Legendre part keeps the phi derivative finite
+    at the poles.
+    """
+    q, dq = numerics.legendre_q_tables(lmax, ct)
+    ls, ms = np.array([(l, m) for l in range(lmax + 1)
+                       for m in range(-l, l + 1)]).T
+    am = np.abs(ms)
+    # sin^k theta for k = 0..lmax; e^{i m phi}; the (-1)^m phase of m < 0
+    spow = st ** np.arange(lmax + 1)[:, None]
+    phase = np.exp(1j * np.outer(np.arange(-lmax, lmax + 1), phi))[ms + lmax]
+    sign = np.where(ms < 0, (-1.0) ** am, 1.0)[:, None]
+    qa, dqa = sign * q[ls, am], sign * dq[ls, am]
+    s_lower = spow[np.maximum(am - 1, 0)]
+    y = phase * (qa * spow[am])
+    dth = phase * (-dqa * spow[am] * st + am[:, None] * ct * s_lower * qa)
+    dph = 1j * phase * (ms[:, None] * qa * s_lower)
+    return y, dth, dph
+
+
+# r -> 0 limits of (psi / R, grad / R') per (l, m) row for l <= 1.  Only
+# l = 0 keeps a value; the gradient takes the regularized +z-axis limit:
+# z-hat Y_00 for l = 0, the constant gradient of r Y_1m for l = 1, zero above.
+_Y00 = math.sqrt(1.0 / (4.0 * math.pi))
+_C0, _C1 = math.sqrt(3.0 / (4.0 * math.pi)), math.sqrt(3.0 / (8.0 * math.pi))
+_ORIGIN_LIMITS = np.array([[_Y00, 0.0, 0.0, _Y00],
+                           [0.0, _C1, -1j * _C1, 0.0],      # m = -1
+                           [0.0, 0.0, 0.0, _C0],            # m = 0
+                           [0.0, -_C1, -1j * _C1, 0.0]])    # m = +1
 
 
 def orbital_tables(basis: Basis, orbitals, points):
     """Vectorized values and gradients for a set of orbitals.
 
-    Returns (psi, grad) with shapes (n_orb, n_pts) and (n_orb, n_pts, 3).
-    Gradients assemble the analytic radial and angular derivatives; at
-    r = 0 the (regularized) +z-axis limit is used: zero for l >= 2.
+    ``points`` is a QuadratureGrid, read as its radial nodes times its
+    angular nodes (joined by broadcasting in ``points`` order), or an
+    (n, 3) array with one radius and direction per point.  Returns (psi,
+    grad) with shapes (n_orb, n_pts) and (n_orb, n_pts, 3).  At r = 0 the
+    (regularized) +z-axis limit is used: psi vanishes for l >= 1, the
+    gradient for l >= 2.
     """
     orbitals = list(orbitals)
-    pts, r, safe_r, ct, st, phi = _spherical_frame(points)
-    npts = len(r)
-    lmax = max((o.l for o in orbitals), default=0)
-    q, dq = numerics.legendre_q_tables(lmax, ct)
-    rad = basis.shells.values(r)
-    drad = basis.shells.derivatives(r)
-    # powers of sin(theta) up to lmax, plus e^{i m phi} factors
-    spow = np.concatenate([np.ones((1, npts)),
-                           np.cumprod(np.broadcast_to(st, (lmax + 1, npts))[:lmax],
-                                      axis=0)]) if lmax else np.ones((1, npts))
-    eimp = np.exp(1j * np.outer(np.arange(-lmax, lmax + 1), phi))
-
-    rhat = np.stack([st * np.cos(phi), st * np.sin(phi), ct], axis=1)
-    that = np.stack([ct * np.cos(phi), ct * np.sin(phi), -st], axis=1)
-    phat = np.stack([-np.sin(phi), np.cos(phi), np.zeros(npts)], axis=1)
-    at_origin = r == 0.0
-
-    psi = np.empty((len(orbitals), npts), dtype=complex)
-    grad = np.empty((len(orbitals), npts, 3), dtype=complex)
-    for k, orb in enumerate(orbitals):
-        l, b = orb.l, orb.band_pos
-        ang = np.zeros(npts, dtype=complex)       # sum_m C_m Y_lm
-        dth = np.zeros(npts, dtype=complex)       # d/dtheta of ang
-        dph = np.zeros(npts, dtype=complex)       # (1/sin) d/dphi of ang
-        for m in range(-l, l + 1):
-            c = orb.coeffs[m + l]
-            if c == 0.0:
-                continue
-            am = abs(m)
-            sign = (-1.0) ** am if m < 0 else 1.0
-            ph = sign * c * eimp[m + lmax]
-            qa, dqa = q[l, am], dq[l, am]
-            ang += ph * qa * spow[am]
-            d = -dqa * spow[am] * st
-            if am:
-                d = d + am * ct * spow[am - 1] * qa
-                dph += ph * (1j * m) * qa * spow[am - 1]
-            dth += ph * d
-        psi[k] = rad[b] * ang
-        inv_r = 1.0 / safe_r
-        grad[k] = (drad[b] * ang)[:, None] * rhat \
-            + (rad[b] * inv_r * dth)[:, None] * that \
-            + (rad[b] * inv_r * dph)[:, None] * phat
-        if np.any(at_origin):
-            psi[k, at_origin] = rad[b][at_origin] * ang[at_origin] if l == 0 \
-                else 0.0
-            if l >= 2:
-                grad[k, at_origin] = 0.0
-            else:
-                # regularized +z-axis limit: radial slope times the angular
-                # factor evaluated at the pole
-                lim = (drad[b][at_origin] * ang[at_origin])[:, None] * \
-                    np.array([0.0, 0.0, 1.0]) if l == 0 else \
-                    (drad[b][at_origin])[:, None] * _l1_axis_limit(orb)
-                grad[k, at_origin] = lim
+    if isinstance(points, numerics.QuadratureGrid):
+        r, dirs = points.radial_nodes[:, None], points.angular_nodes
+        n_pts = step = len(points.weights)
+    else:
+        pts = np.atleast_2d(np.asarray(points, dtype=float))
+        r = np.linalg.norm(pts, axis=1)
+        dirs = pts / np.where(r > 0.0, r, 1.0)[:, None]
+        # blocks of points keep the per-point harmonic tables small
+        n_pts, step = len(r), 8192
+    psi = np.empty((len(orbitals), n_pts), dtype=complex)
+    grad = np.empty((len(orbitals), n_pts, 3), dtype=complex)
+    for i in range(0, n_pts, step):
+        _fill_tables(basis, orbitals, r[i:i + step], dirs[i:i + step],
+                     psi[:, i:i + step], grad[:, i:i + step])
     return psi, grad
 
 
-def _l1_axis_limit(orb):
-    c0 = math.sqrt(3.0 / (4.0 * math.pi))
-    c1 = math.sqrt(3.0 / (8.0 * math.pi))
-    cm1, c_0, cp1 = orb.coeffs
-    return np.array([
-        c1 * (cm1 - cp1),
-        -1j * c1 * (cm1 + cp1),
-        c0 * c_0,
-    ])
+def _fill_tables(basis, orbitals, r, dirs, psi, grad):
+    """Write the orbitals at the broadcast product of radii r and unit
+    directions dirs into psi (n_orb, n) and grad (n_orb, n, 3)."""
+    ct = np.clip(dirs[:, 2], -1.0, 1.0)
+    st = np.sqrt(np.maximum(0.0, 1.0 - ct * ct))
+    phi = np.arctan2(dirs[:, 1], dirs[:, 0])
+    lmax = max((o.l for o in orbitals), default=0)
+    y, dth, dph = _harmonic_tables(lmax, ct, st, phi)
+    that = np.stack([ct * np.cos(phi), ct * np.sin(phi), -st], axis=1)
+    phat = np.stack([-np.sin(phi), np.cos(phi), np.zeros_like(phi)], axis=1)
+    rad = basis.shells.values(r.ravel()).reshape((-1,) + r.shape)
+    drad = basis.shells.derivatives(r.ravel()).reshape((-1,) + r.shape)
+    inv_r = 1.0 / np.where(r > 0.0, r, 1.0)
+    shape = np.broadcast_shapes(r.shape, ct.shape)
+    origin = np.flatnonzero(np.broadcast_to(r == 0.0, shape))
+    lim = np.zeros(((lmax + 2) ** 2, 4), dtype=complex)
+    lim[:4] = _ORIGIN_LIMITS
+    rad0 = basis.shells.values(np.zeros(1))[:, 0]
+    drad0 = basis.shells.derivatives(np.zeros(1))[:, 0]
+    for k, orb in enumerate(orbitals):
+        rows, b, c = slice(orb.l ** 2, (orb.l + 1) ** 2), orb.band_pos, orb.coeffs
+        ang = c @ y[rows]
+        tang = (c @ dth[rows])[:, None] * that + (c @ dph[rows])[:, None] * phat
+        np.multiply(rad[b], ang, out=psi[k].reshape(shape))
+        g = grad[k].reshape(shape + (3,))
+        np.multiply(drad[b][..., None], ang[:, None] * dirs, out=g)
+        g += (rad[b] * inv_r)[..., None] * tang
+        at0 = c @ lim[rows]
+        psi[k, origin] = rad0[b] * at0[0]
+        grad[k, origin] = drad0[b] * at0[1:]
 
 
 def evaluate_orbital(orbital: Orbital, basis: Basis, point) -> complex:
     """R_nl(r) * sum_m C_m Y_lm at a single point."""
-    psi, _ = orbital_tables(basis, [orbital], np.atleast_2d(point))
+    psi, _ = orbital_tables(basis, [orbital], point)
     return complex(psi[0, 0])
 
 
 def evaluate_gradient(orbital: Orbital, basis: Basis, point) -> np.ndarray:
     """Analytic Cartesian gradient of the orbital at a single point."""
-    _, grad = orbital_tables(basis, [orbital], np.atleast_2d(point))
+    _, grad = orbital_tables(basis, [orbital], point)
     return grad[0, 0]
 
 

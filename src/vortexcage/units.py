@@ -5,12 +5,9 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 HARTREE_EV = 27.211386245988          # 1 hartree in eV
 BOHR_NM = 0.0529177210903             # 1 bohr in nm
 AU_TIME_FS = 2.4188843265857e-2       # 1 a.u. of time in fs
-AU_CURRENT_A = 6.623618237510e-3      # e*E_h/hbar, 1 a.u. of current in A
 AU_BFIELD_T = 2.35051756758e5         # hbar/(e*a0^2), 1 a.u. of B in tesla
 AU_INTENSITY_W_CM2 = 3.50944758e16    # (1/2) eps0 c E0^2 at E0 = 1 a.u.
 
@@ -34,10 +31,6 @@ def nm_to_bohr(x_nm):
     return x_nm / BOHR_NM
 
 
-def bohr_to_nm(x_au):
-    return x_au * BOHR_NM
-
-
 def fs_to_au(t_fs):
     return t_fs / AU_TIME_FS
 
@@ -54,23 +47,3 @@ def field_amplitude_au(intensity_w_cm2: float) -> float:
 def intensity_w_cm2(e0_au: float) -> float:
     return e0_au**2 * AU_INTENSITY_W_CM2
 
-
-@dataclass(frozen=True)
-class PhysicalConstants:
-    """Conversion factors bundled for report metadata.
-
-    ``mu0_explicit`` records that the Biot-Savart prefactor mu0/(4 pi) is
-    applied in atomic units (alpha^2) rather than deferred to the tesla
-    conversion.
-    """
-
-    hartree_in_ev: float = HARTREE_EV
-    bohr_in_nm: float = BOHR_NM
-    atomic_time_in_fs: float = AU_TIME_FS
-    atomic_current_in_a: float = AU_CURRENT_A
-    atomic_bfield_in_t: float = AU_BFIELD_T
-    bohr_magneton_in_au: float = BOHR_MAGNETON_AU
-    mu0_explicit: bool = True
-
-
-CONSTANTS = PhysicalConstants()

@@ -5,6 +5,7 @@ import pytest
 import yaml
 
 from vortexcage import cli, config
+from vortexcage.units import nm_to_bohr
 
 
 def read_rows(path):
@@ -143,6 +144,23 @@ class TestChargeSweepCommand:
         assert abs(float(rows[0]["B_center_uT"])) < 1e-20
         out = capsys.readouterr().out
         assert "peak-field charge" in out
+
+    def test_absolute_offset_honoured(self, tmp_path):
+        charges = ["--override", "scan.charges=[1, 2]"]
+        absolute = ["--override", "pulse.rho0_ratio=null",
+                    "--override", "pulse.rho0_nm=5.0"]
+        assert cli.main(["--out", str(tmp_path / "centred")] + charges
+                        + ["charge-sweep"]) == 0
+        assert cli.main(["--out", str(tmp_path / "offset")] + charges
+                        + absolute + ["charge-sweep"]) == 0
+        centred = read_rows(tmp_path / "centred/charge_sweep.csv")
+        offset = read_rows(tmp_path / "offset/charge_sweep.csv")
+        for row in offset:
+            assert float(row["rho0_bohr"]) == pytest.approx(nm_to_bohr(5.0))
+        assert [r["B_center_uT"] for r in offset] != \
+            [r["B_center_uT"] for r in centred]
+        summary = (tmp_path / "offset/charge_sweep_summary.txt").read_text()
+        assert "peak-field charge" not in summary
 
 
 class TestPlanesCommand:

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 import scipy.special
+from hypothesis import given, settings, strategies as st
 
 from vortexcage import numerics, structure
 from vortexcage.units import hartree_to_ev
@@ -228,10 +229,93 @@ class TestEvaluateGradient:
             assert np.all(np.isfinite(g))
 
 
+def _random_block(basis, l, band_pos, seed):
+    """Orbitals with angular momentum l whose coefficient rows form a
+    random unitary (2l+1) x (2l+1) matrix."""
+    rng = np.random.default_rng(seed)
+    n = 2 * l + 1
+    q, _ = np.linalg.qr(rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n)))
+    template = next(o for o in basis.orbitals if o.band_pos == band_pos)
+    return [structure.Orbital(index=k, band=template.band, band_pos=band_pos,
+                              l=l, rep_label="mix", lam=k, energy=0.0,
+                              coeffs=row, occupied=False)
+            for k, row in enumerate(q)]
+
+
+_coord = st.floats(-15.0, 15.0, allow_nan=False)
+_point = st.one_of(st.tuples(_coord, _coord, _coord),
+                   st.tuples(st.just(0.0), st.just(0.0), _coord),  # poles
+                   st.just((0.0, 0.0, 0.0)))
+
+
+class TestEvaluationLayouts:
+    def test_grid_matches_point_array(self, basis):
+        grid = numerics.build_grid(0.0, 26.8, 32, 2 * basis.l_max + 4)
+        psi_g, grad_g = structure.orbital_tables(basis, basis.orbitals, grid)
+        psi_p, grad_p = structure.orbital_tables(basis, basis.orbitals,
+                                                 grid.points)
+        for a, b in ((psi_g, psi_p), (grad_g, grad_p)):
+            axes = tuple(range(1, a.ndim))
+            scale = np.abs(b).max(axis=axes)
+            assert np.all(np.abs(a - b).max(axis=axes) <= 1e-13 * scale)
+
+    @settings(max_examples=60, deadline=None)
+    @given(l=st.integers(0, 3), band_pos=st.integers(0, 2),
+           seed=st.integers(0, 2**32 - 1),
+           points=st.lists(_point, min_size=1, max_size=8))
+    def test_table_coefficients_match_tabulated_harmonic(
+            self, basis, l, band_pos, seed, points):
+        orbs = _random_block(basis, l, band_pos, seed)
+        coeffs = np.array([o.coeffs for o in orbs])
+
+        def reference(p):
+            r = np.linalg.norm(p, axis=1)
+            theta = np.arccos(np.clip(p[:, 2] / np.where(r > 0, r, 1.0), -1, 1))
+            phi = np.arctan2(p[:, 1], p[:, 0])
+            ylm = np.array([tabulated_harmonic(m, l, theta, phi)
+                            for m in range(-l, l + 1)])
+            return basis.shells.values(r)[band_pos] * (coeffs @ ylm)
+
+        pts = np.array(points, dtype=float)
+        psi, grad = structure.orbital_tables(basis, orbs, pts)
+        r = np.linalg.norm(pts, axis=1)
+        expected = reference(pts)
+        # r = 0 keeps only the l = 0 part (regularized limit)
+        expected[:, r == 0.0] *= l == 0
+        # |sum_m C_m Y_lm| <= sqrt((2l+1)/4pi) for unit coefficient rows
+        bound = np.abs(basis.shells.values(r)[band_pos]) \
+            * math.sqrt((2 * l + 1) / (4 * math.pi))
+        assert np.all(np.abs(psi - expected) <= 1e-12 * bound + 1e-300)
+        # fourth-order central differences of the reference
+        step = 1e-3
+        fd = np.stack([(8 * (reference(pts + e) - reference(pts - e))
+                        - reference(pts + 2 * e) + reference(pts - 2 * e))
+                       / (12 * step) for e in step * np.eye(3)], axis=-1)
+        far = r >= 1.0
+        scale = np.abs(grad).max() + 1e-300
+        assert np.all(np.abs(grad - fd)[:, far] <= 1e-6 * scale)
+
+    def test_origin_gradient_limit(self, basis):
+        slope = basis.shells.derivatives(np.zeros(1))[2, 0]
+        axes = [(math.pi / 2, 0.0), (math.pi / 2, math.pi / 2), (0.0, 0.0)]
+        for l in range(4):
+            orbs = _random_block(basis, l, 2, seed=l)
+            coeffs = np.array([o.coeffs for o in orbs])
+            _, grad = structure.orbital_tables(basis, orbs, np.zeros((1, 3)))
+            if l == 0:      # radial slope along the +z axis
+                expected = coeffs * tabulated_harmonic(0, 0, 0.0, 0.0) * [0, 0, 1]
+            elif l == 1:    # r Y_1m is linear: its gradient is Y_1m on the axes
+                expected = coeffs @ [[tabulated_harmonic(m, 1, th, ph)
+                                      for th, ph in axes] for m in (-1, 0, 1)]
+            else:
+                expected = np.zeros((len(orbs), 3))
+            assert np.allclose(grad[:, 0], slope * expected, rtol=1e-12, atol=0)
+
+
 class TestBasisGram:
     def test_identity(self, basis, grid):
-        psi, _ = structure.orbital_tables(basis, basis.orbitals, grid.points)
-        gram = np.einsum("in,n,jn->ij", psi.conj(), grid.weights, psi)
+        psi, _ = structure.orbital_tables(basis, basis.orbitals, grid)
+        gram = (psi.conj() * grid.weights) @ psi.T
         assert np.abs(gram - np.eye(len(basis.orbitals))).max() < 1e-8
 
 
