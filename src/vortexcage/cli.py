@@ -18,7 +18,7 @@ import concurrent.futures
 import dataclasses
 import math
 import sys
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -38,20 +38,15 @@ LONG_OBSERVABLES = ["mz_au", "mz_muB", "B_center_uT", "validity",
 
 @dataclass
 class ScanResult:
-    axes: dict
-    records: list[dict] = dc_field(default_factory=list)
+    records: list[dict]
 
     def write_csv(self, path):
-        path = Path(path)
-        path.parent.mkdir(parents=True, exist_ok=True)
         with open(path, "w", encoding="utf-8", newline="\n") as fh:
             fh.write(",".join(WIDE_COLUMNS) + "\n")
             for rec in self.records:
                 fh.write(",".join(_fmt(rec.get(c)) for c in WIDE_COLUMNS) + "\n")
 
     def write_long(self, path):
-        path = Path(path)
-        path.parent.mkdir(parents=True, exist_ok=True)
         with open(path, "w", encoding="utf-8", newline="\n") as fh:
             fh.write("omega_eV,rho_ratio,m_oam,observable,value,"
                      "config_hash,version\n")
@@ -124,19 +119,17 @@ def _evaluate_point(run: RunConfig, grid, ts, omega_ev: float,
     return rec
 
 
-def _parallel(tasks, threads: int):
-    """Ordered results of zero-argument callables; pool size is cosmetic
-    (records are pure functions of their task)."""
+def _map(func, items, threads: int) -> list:
+    """Ordered ``func(item)`` results; the pool size never changes them
+    (records are pure functions of their item)."""
     if threads <= 1:
-        return [task() for task in tasks]
+        return [func(item) for item in items]
     with concurrent.futures.ThreadPoolExecutor(max_workers=threads) as pool:
-        futures = [pool.submit(task) for task in tasks]
-        return [f.result() for f in futures]
+        return list(pool.map(func, items))
 
 
 def _write_metadata(run: RunConfig, out_dir: Path, command: str) -> None:
     """Echo the resolved unit conversions next to the scan output."""
-    out_dir.mkdir(parents=True, exist_ok=True)
     lines = [
         f"command: {command}",
         f"config_hash: {run.hash}",
@@ -158,74 +151,62 @@ def _write_metadata(run: RunConfig, out_dir: Path, command: str) -> None:
 # subcommands
 # ---------------------------------------------------------------------------
 
-def cmd_spectrum(run: RunConfig, out_dir: Path, threads: int) -> ScanResult:
-    _write_metadata(run, out_dir, "spectrum")
-    omegas = run.omega_grid_ev()
-    grid = run.make_grid()
-    pulse = run.make_pulse()
-    ts = coupling.build_transition_set(run.basis, pulse, grid)
-    ratio = run.raw["pulse"]["rho0_ratio"]
-    meta = {"m_oam": run.m_oam, "rho_ratio": ratio,
-            "rho0_bohr": run.rho0()}
-    tasks = [
-        (lambda w: (lambda: _evaluate_point(run, grid, ts, w, meta)))(w)
-        for w in omegas
-    ]
-    result = ScanResult(axes={"omega_eV": omegas})
-    result.records = _parallel(tasks, threads)
-    result.write_csv(out_dir / "spectrum.csv")
+def _scan(run: RunConfig, out_dir: Path, threads: int, command: str, grid,
+          families) -> ScanResult:
+    """Scan ``(pulse, photon energies in eV, record metadata)`` families.
+
+    One transition set per family, then one record per (family, energy),
+    written to ``<command>.csv`` and, if configured, ``<command>_long.csv``.
+    """
+    _write_metadata(run, out_dir, command)
+    sets = _map(lambda family: coupling.build_transition_set(
+        run.basis, family[0], grid), families, threads)
+    points = [(ts, omega_ev, meta)
+              for ts, (_, omegas, meta) in zip(sets, families)
+              for omega_ev in omegas]
+    result = ScanResult(_map(lambda point: _evaluate_point(run, grid, *point),
+                             points, threads))
+    stem = command.replace("-", "_")
+    result.write_csv(out_dir / f"{stem}.csv")
     if run.raw["output"]["long_format"]:
-        result.write_long(out_dir / "spectrum_long.csv")
+        result.write_long(out_dir / f"{stem}_long.csv")
     return result
+
+
+def cmd_spectrum(run: RunConfig, out_dir: Path, threads: int) -> ScanResult:
+    meta = {"m_oam": run.m_oam, "rho_ratio": run.raw["pulse"]["rho0_ratio"],
+            "rho0_bohr": run.rho0()}
+    return _scan(run, out_dir, threads, "spectrum", run.make_grid(),
+                 [(run.make_pulse(), run.omega_grid_ev(), meta)])
 
 
 def cmd_heatmap(run: RunConfig, out_dir: Path, threads: int) -> ScanResult:
-    _write_metadata(run, out_dir, "heatmap")
-    omegas = run.omega_grid_ev()
-    if not omegas:
-        raise ConfigError("empty omega range")
-    ratios = list(run.raw["scan"]["rho0_ratios"])
+    ratios = run.raw["scan"]["rho0_ratios"]
     if run.m_oam == 0 and any(r != 0 for r in ratios):
         raise ConfigError("offset ratios need m_oam != 0")
-    grid = run.make_grid()
-    result = ScanResult(axes={"rho_ratio": ratios, "omega_eV": omegas})
+    omegas = run.omega_grid_ev()
+    families = []
     for ratio in ratios:
         rho0 = 0.0 if ratio == 0 else ratio * beam.rho_max(run.m_oam, run.waist)
-        pulse = run.make_pulse(rho0=rho0)
-        ts = coupling.build_transition_set(run.basis, pulse, grid)
-        meta = {"m_oam": run.m_oam, "rho_ratio": ratio, "rho0_bohr": rho0}
-        tasks = [
-            (lambda w: (lambda: _evaluate_point(run, grid, ts, w, meta)))(w)
-            for w in omegas
-        ]
-        result.records.extend(_parallel(tasks, threads))
-    result.write_csv(out_dir / "heatmap.csv")
-    if run.raw["output"]["long_format"]:
-        result.write_long(out_dir / "heatmap_long.csv")
-    return result
+        families.append((run.make_pulse(rho0=rho0), omegas,
+                         {"m_oam": run.m_oam, "rho_ratio": ratio,
+                          "rho0_bohr": rho0}))
+    return _scan(run, out_dir, threads, "heatmap", run.make_grid(), families)
 
 
 def cmd_charge_sweep(run: RunConfig, out_dir: Path, threads: int) -> ScanResult:
-    _write_metadata(run, out_dir, "charge-sweep")
-    charges = [int(c) for c in run.raw["scan"]["charges"]]
+    charges = run.raw["scan"]["charges"]
     grid = run.make_grid(max_abs_charge=max((abs(c) for c in charges),
                                             default=1))
     ratio = run.raw["pulse"]["rho0_ratio"]    # None with an absolute rho0_nm
-
-    def point(m):
+    families = []
+    for m in charges:
         pulse = run.make_pulse(m_oam=m)
-        ts = coupling.build_transition_set(run.basis, pulse, grid)
-        meta = {"m_oam": m, "rho_ratio": 0.0 if m == 0 and ratio else ratio,
-                "rho0_bohr": pulse.offset[0]}
-        return _evaluate_point(run, grid, ts,
-                               run.raw["pulse"]["omega_ev"], meta)
-
-    result = ScanResult(axes={"m_oam": charges})
-    result.records = _parallel([(lambda m: (lambda: point(m)))(m)
-                                for m in charges], threads)
-    result.write_csv(out_dir / "charge_sweep.csv")
-    if run.raw["output"]["long_format"]:
-        result.write_long(out_dir / "charge_sweep_long.csv")
+        families.append((pulse, [run.raw["pulse"]["omega_ev"]],
+                         {"m_oam": m,
+                          "rho_ratio": 0.0 if m == 0 and ratio else ratio,
+                          "rho0_bohr": pulse.offset[0]}))
+    result = _scan(run, out_dir, threads, "charge-sweep", grid, families)
 
     resp = {r["m_oam"]: abs(r["B_center_uT"]) for r in result.records}
     peak = max(resp.values(), default=0.0)
@@ -275,7 +256,6 @@ def cmd_planes(run: RunConfig, out_dir: Path, threads: int) -> list[Path]:
         elif plane == "xy":
             ring_count = observables.radial_ring_count(pts, j)
         path = out_dir / f"current_{plane}.dat"
-        path.parent.mkdir(parents=True, exist_ok=True)
         observables.write_plane(path, plane, extent, pts, j)
         paths.append(path)
     print(f"ring count (xy plane): {ring_count} (reference value 3)")
@@ -484,7 +464,6 @@ def cmd_check(run: RunConfig, out_dir: Path, threads: int) -> int:
         line = f"{status:4s} {name}: {detail}"
         lines.append(line)
         print(line)
-    out_dir.mkdir(parents=True, exist_ok=True)
     with open(out_dir / "check_report.txt", "w", encoding="utf-8") as fh:
         fh.write("\n".join(lines) + "\n")
     if conv_failures:
@@ -540,7 +519,7 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 1
-    except RuntimeError as exc:
+    except dynamics.ConvergenceError as exc:
         print(f"numerical convergence failure: {exc}", file=sys.stderr)
         return 3
     return 0

@@ -18,7 +18,8 @@ import yaml
 
 from . import structure
 from .beam import VortexPulse, delta_from_fwhm_fs, rho_max
-from .numerics import build_grid
+from .numerics import build_grid, check_grid_args
+from .observables import plane_lattice
 from .units import ev_to_hartree, field_amplitude_au, nm_to_bohr
 
 __all__ = ["ConfigError", "RunConfig", "config_hash", "load_config"]
@@ -128,8 +129,24 @@ def load_config(path=None, overrides=()) -> dict:
     return cfg
 
 
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def _validate(cfg: dict) -> None:
+    for block, key in (("pulse", "m_oam"), ("pulse", "p"),
+                       ("numerics", "n_radial"), ("numerics", "angular_margin"),
+                       ("scan", "plane_resolution")):
+        if not _is_int(cfg[block][key]):
+            raise ConfigError(f"{block}.{key} must be an integer, "
+                              f"got {cfg[block][key]!r}")
+    charges = cfg["scan"]["charges"]
+    if not (isinstance(charges, list) and all(_is_int(m) for m in charges)):
+        raise ConfigError(f"scan.charges must be a list of integers, "
+                          f"got {charges!r}")
     pulse = cfg["pulse"]
+    if not pulse["omega_ev"] > 0:
+        raise ConfigError("pulse.omega_ev must be positive")
     if (pulse["intensity_w_cm2"] is None) == (pulse["a0_au"] is None):
         raise ConfigError(
             "pulse: specify exactly one of intensity_w_cm2 and a0_au")
@@ -184,6 +201,22 @@ class RunConfig:
 
     @classmethod
     def resolve(cls, cfg: dict) -> "RunConfig":
+        """Unit-converted setup.  Values that the symmetry-table loader or
+        the basis, pulse, grid and plane-lattice constructors refuse raise
+        ConfigError here, before any command starts."""
+        try:
+            run = cls._convert(cfg)
+            for m in [run.m_oam, *cfg["scan"]["charges"]]:
+                run.make_pulse(m_oam=m)
+            check_grid_args(*run._grid_args())
+            plane_lattice("xy", cfg["scan"]["plane_extent_bohr"],
+                          cfg["scan"]["plane_resolution"])
+        except (OSError, ValueError) as exc:
+            raise ConfigError(str(exc)) from None
+        return run
+
+    @classmethod
+    def _convert(cls, cfg: dict) -> "RunConfig":
         model = cfg["model"]
         e2 = model["band2_offset_hartree"]
         bands = tuple(
@@ -200,11 +233,8 @@ class RunConfig:
         table = None
         if model["symmetry_table"]:
             table = structure.load_symmetry_coefficients(model["symmetry_table"])
-        try:
-            basis = structure.build_basis(bands, model["cage_radius_bohr"],
-                                          symmetry_table=table)
-        except ValueError as exc:
-            raise ConfigError(f"model: {exc}") from None
+        basis = structure.build_basis(bands, model["cage_radius_bohr"],
+                                      symmetry_table=table)
         pulse = cfg["pulse"]
         omega = ev_to_hartree(pulse["omega_ev"])
         if pulse["a0_au"] is not None:
@@ -236,26 +266,29 @@ class RunConfig:
             return 0.0
         return ratio * rho_max(m, self.waist)
 
-    def make_pulse(self, m_oam: int | None = None, omega: float | None = None,
-                   rho0: float | None = None, a0: float | None = None) -> VortexPulse:
+    def make_pulse(self, m_oam: int | None = None,
+                   rho0: float | None = None) -> VortexPulse:
         m = self.m_oam if m_oam is None else m_oam
         off = self.rho0(m) if rho0 is None else rho0
         # a0 fixed by intensity at the scalar config frequency, so frequency
         # scans vary G only (conversion echoed in output metadata)
         return VortexPulse(
-            a0=self.a0 if a0 is None else a0, m_oam=m,
-            omega=self.omega if omega is None else omega,
+            a0=self.a0, m_oam=m, omega=self.omega,
             delta=self.delta, waist=self.waist, p=self.p,
             offset=(off, 0.0), legacy_normalization=self.legacy_normalization)
 
-    def make_grid(self, max_abs_charge: int | None = None):
+    def _grid_args(self, max_abs_charge: int | None = None) -> tuple:
+        """``build_grid`` arguments for beam windings up to max_abs_charge
+        (default: the configured charge)."""
         l2 = self.basis.bands[1].l_max
         l3 = self.basis.bands[2].l_max
         m = abs(self.m_oam) if max_abs_charge is None else abs(max_abs_charge)
         order = max(2 * self.basis.l_max + 4,
                     l2 + l3 + m + self.angular_margin)
-        return build_grid(0.0, self.r_max, self.n_radial, order,
-                          l_basis_max=self.basis.l_max)
+        return 0.0, self.r_max, self.n_radial, order, self.basis.l_max
+
+    def make_grid(self, max_abs_charge: int | None = None):
+        return build_grid(*self._grid_args(max_abs_charge))
 
     def omega_grid_ev(self):
         rng = self.raw["scan"]["omega_ev"]

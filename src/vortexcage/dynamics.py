@@ -22,6 +22,7 @@ import numpy as np
 from . import coupling, structure
 
 __all__ = [
+    "ConvergenceError",
     "ExcitationState",
     "PerturbationBreakdownWarning",
     "excite",
@@ -35,6 +36,10 @@ VALIDITY_THRESHOLD = 0.05
 
 class PerturbationBreakdownWarning(UserWarning):
     pass
+
+
+class ConvergenceError(RuntimeError):
+    """A numerical integration missed its accuracy target."""
 
 
 def spectral_factor(eps_j, eps_k, omega: float, delta: float):
@@ -101,8 +106,8 @@ def propagate_oracle(basis: structure.Basis, pulse, grid, dt: float,
     final amplitude of basis state a for source s (interaction picture, so
     post-pulse values are time-independent).
 
-    Raises on carrier-unresolving steps (dt > 0.05 * 2pi/omega) and on norm
-    drift beyond ``norm_tol``.
+    Raises ValueError on carrier-unresolving steps (dt > 0.05 * 2pi/omega)
+    and ConvergenceError on norm drift beyond ``norm_tol``.
     """
     if states is None:
         states = basis.band_orbitals(2) + basis.band_orbitals(3)
@@ -144,7 +149,7 @@ def propagate_oracle(basis: structure.Basis, pulse, grid, dt: float,
             t += step
         drift = abs(float(np.sum(np.abs(c) ** 2)) - 1.0)
         if drift > norm_tol:
-            raise RuntimeError(f"norm drift {drift:.3e} exceeds {norm_tol}; "
+            raise ConvergenceError(f"norm drift {drift:.3e} exceeds {norm_tol}; "
                                f"reduce dt")
         coeffs[s] = c
     return coeffs, states

@@ -16,6 +16,7 @@ __all__ = [
     "assoc_legendre",
     "build_grid",
     "central_difference_gradient",
+    "check_grid_args",
     "laguerre",
     "legendre_q_tables",
     "gauss_legendre",
@@ -170,14 +171,11 @@ def angular_rule(order: int):
     return dirs, w
 
 
-def build_grid(r_min: float, r_max: float, n_radial: int, angular_order: int,
-               l_basis_max: int | None = None) -> QuadratureGrid:
-    """Product quadrature grid over the shell r in [r_min, r_max].
-
-    Raises ValueError when the requested orders cannot integrate the basis
-    exactly (n_radial < 16, or angular_order < 2*l_basis_max + 4 when the
-    basis maximum is supplied).
-    """
+def check_grid_args(r_min: float, r_max: float, n_radial: int,
+                    angular_order: int, l_basis_max: int | None = None) -> None:
+    """Raise ValueError for an empty radial range or for orders that cannot
+    integrate the basis exactly (n_radial < 16, or angular_order <
+    2*l_basis_max + 4 when the basis maximum is supplied)."""
     if r_min < 0.0 or r_max <= r_min:
         raise ValueError(f"invalid radial range [{r_min}, {r_max}]")
     if n_radial < 16:
@@ -186,6 +184,13 @@ def build_grid(r_min: float, r_max: float, n_radial: int, angular_order: int,
         raise ValueError(
             f"angular_order={angular_order} below 2*l_basis_max+4="
             f"{2 * l_basis_max + 4}")
+
+
+def build_grid(r_min: float, r_max: float, n_radial: int, angular_order: int,
+               l_basis_max: int | None = None) -> QuadratureGrid:
+    """Product quadrature grid over the shell r in [r_min, r_max]; the
+    arguments must pass ``check_grid_args``."""
+    check_grid_args(r_min, r_max, n_radial, angular_order, l_basis_max)
     r, wr = gauss_legendre(n_radial, r_min, r_max)
     dirs, wang = angular_rule(angular_order)
     pts = (r[:, None, None] * dirs[None, :, :]).reshape(-1, 3)

@@ -37,10 +37,10 @@ __all__ = [
     "b_field_center",
     "current_samples",
     "cylindrical_decomposition",
-    "dc_current_density",
     "flux_through_sphere",
     "magnetic_moment",
     "magnetics",
+    "plane_lattice",
     "radial_ring_count",
     "ring_current_field",
     "sample_current",
@@ -57,28 +57,26 @@ class CutoffLeakWarning(UserWarning):
 
 @dataclass(frozen=True, eq=False)
 class CurrentField:
-    """Sampled real current density on a weighted point set.
-
-    ``weights`` are volume weights for integration (None for bare lattices).
-    ``charge_convention`` records whether the electron charge factor (-1)
-    has been applied ("electron") or the samples are raw probability
-    current ("probability").
-    """
+    """Sampled real current density with volume weights for integration."""
 
     points: np.ndarray
     j: np.ndarray
-    weights: np.ndarray | None = None
-    charge_convention: str = "electron"
+    weights: np.ndarray
 
 
 @dataclass(frozen=True, eq=False)
 class MagneticsResult:
-    moment_au: np.ndarray | None = None        # (1/2) int r x j, a.u.
-    moment_mu_b: np.ndarray | None = None
-    b_center_au: np.ndarray | None = None
-    b_center_tesla: np.ndarray | None = None
-    effective_radius: float | None = None      # ring radius matching m/B
-    charge_convention: str = "electron"
+    moment_au: np.ndarray              # (1/2) int r x j, a.u.
+    b_center_au: np.ndarray
+    effective_radius: float | None     # ring radius matching m/B; None if B_z = 0
+
+    @property
+    def moment_mu_b(self) -> np.ndarray:
+        return self.moment_au / BOHR_MAGNETON_AU
+
+    @property
+    def b_center_tesla(self) -> np.ndarray:
+        return self.b_center_au * AU_BFIELD_T
 
 
 # ---------------------------------------------------------------------------
@@ -125,29 +123,16 @@ def current_samples(excitation, basis, points, eta: float = DEFAULT_ETA,
     return j
 
 
-def dc_current_density(excitation, basis, point, eta: float = DEFAULT_ETA,
-                       charge_convention: str = "electron") -> np.ndarray:
-    """Pointwise DC current density (3,), or (n, 3) for point arrays."""
-    arr = np.asarray(point, dtype=float)
-    out = current_samples(excitation, basis, arr, eta, charge_convention)
-    return out[0] if arr.ndim == 1 else out
-
-
 def sample_current(excitation, basis, grid, eta: float = DEFAULT_ETA,
                    charge_convention: str = "electron") -> CurrentField:
     """Current field sampled on an integration grid."""
     j = current_samples(excitation, basis, grid, eta, charge_convention)
-    return CurrentField(points=grid.points, j=j, weights=grid.weights,
-                        charge_convention=charge_convention)
+    return CurrentField(points=grid.points, j=j, weights=grid.weights)
 
 
-def sample_current_plane(excitation, basis, plane: str, extent: float,
-                         resolution: int, eta: float = DEFAULT_ETA,
-                         charge_convention: str = "electron"):
-    """Regular lattice samples in the xy or xz plane through the origin.
-
-    Returns (points, j) with shapes (resolution, resolution, 3).
-    """
+def plane_lattice(plane: str, extent: float, resolution: int) -> np.ndarray:
+    """Regular (resolution, resolution, 3) lattice in the xy or xz plane
+    through the origin, spanning [-extent, extent] along both axes."""
     if resolution < 32:
         raise ValueError("resolution must be at least 32")
     if plane not in ("xy", "xz"):
@@ -157,6 +142,15 @@ def sample_current_plane(excitation, basis, plane: str, extent: float,
     pts = np.zeros((resolution, resolution, 3))
     pts[..., 0] = a
     pts[..., 1 if plane == "xy" else 2] = b
+    return pts
+
+
+def sample_current_plane(excitation, basis, plane: str, extent: float,
+                         resolution: int, eta: float = DEFAULT_ETA,
+                         charge_convention: str = "electron"):
+    """Current samples on ``plane_lattice``; returns (points, j), both
+    shaped (resolution, resolution, 3)."""
+    pts = plane_lattice(plane, extent, resolution)
     j = current_samples(excitation, basis, pts.reshape(-1, 3), eta,
                         charge_convention)
     return pts, j.reshape(resolution, resolution, 3)
@@ -178,17 +172,11 @@ def write_plane(path, plane: str, extent: float, points, j):
 # integrated observables
 # ---------------------------------------------------------------------------
 
-def _weights(field: CurrentField) -> np.ndarray:
-    if field.weights is not None:
-        return field.weights
-    return np.ones(len(field.points))
-
-
 def cylindrical_decomposition(field: CurrentField):
     """Integrated L2 norms (|j_rho|, |j_phi|, |j_z|) of the components."""
     pts = field.points.reshape(-1, 3)
     j = field.j.reshape(-1, 3)
-    w = _weights(field)
+    w = field.weights
     rho = np.hypot(pts[:, 0], pts[:, 1])
     safe = np.where(rho > 1e-300, rho, 1.0)
     on_axis = rho <= 1e-300
@@ -200,27 +188,22 @@ def cylindrical_decomposition(field: CurrentField):
                  for c in (j_rho, j_phi, j[:, 2]))
 
 
-def magnetic_moment(field: CurrentField) -> MagneticsResult:
-    """Orbital moment (1/2) int r x j over the sampled field."""
+def magnetic_moment(field: CurrentField) -> np.ndarray:
+    """Orbital moment (1/2) int r x j over the sampled field, a.u."""
     pts = field.points.reshape(-1, 3)
     j = field.j.reshape(-1, 3)
-    w = _weights(field)
-    moment = 0.5 * np.einsum("n,nc->c", w, np.cross(pts, j))
-    return MagneticsResult(moment_au=moment,
-                           moment_mu_b=moment / BOHR_MAGNETON_AU,
-                           charge_convention=field.charge_convention)
+    return 0.5 * np.einsum("n,nc->c", field.weights, np.cross(pts, j))
 
 
 def b_field_center(field: CurrentField, r_cut: float = DEFAULT_R_CUT,
-                   warn: bool = True) -> MagneticsResult:
-    """Biot-Savart field at the origin, excluding the ball r < r_cut.
+                   warn: bool = True) -> np.ndarray:
+    """Biot-Savart field (a.u.) at the origin, excluding the ball r < r_cut.
 
     Warns when the current on the exclusion boundary is not negligible
     (above 1e-8 of the global maximum), since the kernel diverges there.
     """
     pts = field.points.reshape(-1, 3)
     j = field.j.reshape(-1, 3)
-    w = _weights(field)
     r = np.linalg.norm(pts, axis=1)
     keep = r >= r_cut
     if warn:
@@ -234,29 +217,20 @@ def b_field_center(field: CurrentField, r_cut: float = DEFAULT_R_CUT,
                     f"of max|j|; field value depends on r_cut",
                     CutoffLeakWarning)
     kern = np.cross(pts[keep], j[keep]) / (r[keep] ** 3)[:, None]
-    b_au = MU0_OVER_4PI_AU * np.einsum("n,nc->c", w[keep], kern)
-    return MagneticsResult(b_center_au=b_au,
-                           b_center_tesla=b_au * AU_BFIELD_T,
-                           charge_convention=field.charge_convention)
+    return MU0_OVER_4PI_AU * np.einsum("n,nc->c", field.weights[keep], kern)
 
 
 def magnetics(field: CurrentField, r_cut: float = DEFAULT_R_CUT,
               warn: bool = True) -> MagneticsResult:
     """Moment and center field together, with the loop-radius diagnostic."""
-    mom = magnetic_moment(field)
-    b = b_field_center(field, r_cut=r_cut, warn=warn)
-    mz = float(mom.moment_au[2])
-    bz = float(b.b_center_au[2])
+    moment = magnetic_moment(field)
+    b_au = b_field_center(field, r_cut=r_cut, warn=warn)
     r_eff = None
-    if bz != 0.0:
-        val = 2.0 * MU0_OVER_4PI_AU * mz / bz
+    if b_au[2] != 0.0:
+        val = 2.0 * MU0_OVER_4PI_AU * float(moment[2]) / float(b_au[2])
         r_eff = math.copysign(abs(val) ** (1.0 / 3.0), val)
-    return MagneticsResult(moment_au=mom.moment_au,
-                           moment_mu_b=mom.moment_mu_b,
-                           b_center_au=b.b_center_au,
-                           b_center_tesla=b.b_center_tesla,
-                           effective_radius=r_eff,
-                           charge_convention=field.charge_convention)
+    return MagneticsResult(moment_au=moment, b_center_au=b_au,
+                           effective_radius=r_eff)
 
 
 def flux_through_sphere(sampler, radius: float, angular_order: int = 24) -> float:
@@ -276,8 +250,8 @@ def flux_through_sphere(sampler, radius: float, angular_order: int = 24) -> floa
 # ---------------------------------------------------------------------------
 
 def ring_current_field(current: float, radius: float, sigma: float | None = None,
-                       n_radial: int = 96, n_z: int = 96, n_phi: int = 64,
-                       charge_convention: str = "probability") -> CurrentField:
+                       n_radial: int = 96, n_z: int = 96,
+                       n_phi: int = 64) -> CurrentField:
     """Gaussian-smeared planar current loop on a cylindrical product grid.
 
     j_phi = I g(rho - a) g(z) with unit-normalized 1-D Gaussians g, so the
@@ -302,8 +276,7 @@ def ring_current_field(current: float, radius: float, sigma: float | None = None
     # cylindrical volume element rho drho dz dphi
     w = (w_rho * rho)[:, None, None] * w_z[None, :, None] * w_phi
     weights = np.broadcast_to(w, (n_radial, n_z, n_phi)).reshape(-1).copy()
-    return CurrentField(points=pts, j=j, weights=weights,
-                        charge_convention=charge_convention)
+    return CurrentField(points=pts, j=j, weights=weights)
 
 
 def radial_ring_count(points, j, n_bins: int | None = None,

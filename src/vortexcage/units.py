@@ -41,6 +41,8 @@ def au_to_fs(t_au):
 
 def field_amplitude_au(intensity_w_cm2: float) -> float:
     """Peak electric-field amplitude E0 (a.u.) for I = (1/2) eps0 c E0^2."""
+    if intensity_w_cm2 < 0:
+        raise ValueError(f"intensity {intensity_w_cm2} W/cm^2 is negative")
     return (intensity_w_cm2 / AU_INTENSITY_W_CM2) ** 0.5
 
 

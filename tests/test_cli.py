@@ -4,7 +4,7 @@ import filecmp
 import pytest
 import yaml
 
-from vortexcage import cli, config
+from vortexcage import cli, config, dynamics
 from vortexcage.units import nm_to_bohr
 
 
@@ -77,16 +77,23 @@ class TestConfig:
 
 
 class TestSpectrumCommand:
-    def test_determinism_and_threads(self, tmp_path):
-        args = ["--override", FAST_SCAN, "spectrum"]
+    @pytest.mark.parametrize("command, overrides", [
+        ("spectrum", [FAST_SCAN]),
+        ("heatmap", ["scan.omega_ev={start: 7.9, stop: 8.3, step: 0.4}",
+                     "scan.rho0_ratios=[0.0, 0.2]"]),
+        ("charge-sweep", ["scan.charges=[0, 1, 2]"]),
+    ], ids=["spectrum", "heatmap", "charge-sweep"])
+    def test_determinism_and_threads(self, tmp_path, command, overrides):
+        args = [a for o in overrides for a in ("--override", o)] + [command]
         assert cli.main(["--out", str(tmp_path / "a")] + args) == 0
         assert cli.main(["--out", str(tmp_path / "b")] + args) == 0
-        assert cli.main(["--out", str(tmp_path / "c"), "--threads", "3"]
+        assert cli.main(["--out", str(tmp_path / "c"), "--threads", "2"]
                         + args) == 0
-        assert filecmp.cmp(tmp_path / "a/spectrum.csv",
-                           tmp_path / "b/spectrum.csv", shallow=False)
-        assert filecmp.cmp(tmp_path / "a/spectrum.csv",
-                           tmp_path / "c/spectrum.csv", shallow=False)
+        stem = command.replace("-", "_")
+        for name in (f"{stem}.csv", f"{stem}_long.csv"):
+            for other in ("b", "c"):
+                assert filecmp.cmp(tmp_path / "a" / name,
+                                   tmp_path / other / name, shallow=False)
 
     def test_rows_carry_hash_and_version(self, tmp_path):
         assert cli.main(["--out", str(tmp_path), "--override", FAST_SCAN,
@@ -201,6 +208,50 @@ class TestCheckCommand:
 
 
 class TestExitCodes:
+    @pytest.mark.parametrize("override, command", [
+        ("pulse.fwhm_fs=0", "spectrum"),
+        ("pulse.omega_ev=0", "spectrum"),
+        ("pulse.intensity_w_cm2=-1", "spectrum"),
+        ("pulse.waist_nm=0", "spectrum"),
+        ("pulse.m_oam=41", "spectrum"),
+        ("pulse.p=9", "spectrum"),
+        ("pulse.m_oam=1.5", "spectrum"),
+        ("pulse.p=0.5", "spectrum"),
+        ("scan.charges=[1.5, 2]", "charge-sweep"),
+        ("scan.charges=[0, 41]", "charge-sweep"),
+        ("numerics.n_radial=8", "spectrum"),
+        ("numerics.r_max_factor=0", "spectrum"),
+        ("model.symmetry_table={missing}", "spectrum"),
+        ("scan.plane_resolution=16", "planes"),
+    ])
+    def test_refused_before_the_command(self, tmp_path, capsys, override,
+                                        command):
+        override = override.format(missing=tmp_path / "missing.txt")
+        out = tmp_path / "out"
+        assert cli.main(["--out", str(out), "--override", override,
+                         command]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("configuration error: ")
+        assert err.count("\n") == 1
+        assert not out.exists()
+
+    @pytest.mark.parametrize("error, code", [
+        (dynamics.ConvergenceError("norm drift"), 3),
+        (NotImplementedError("not yet"), None),
+    ])
+    def test_exit_3_only_for_convergence(self, tmp_path, monkeypatch,
+                                         error, code):
+        def fail(*args):
+            raise error
+
+        monkeypatch.setattr(cli, "cmd_spectrum", fail)
+        argv = ["--out", str(tmp_path), "spectrum"]
+        if code is None:
+            with pytest.raises(type(error)):
+                cli.main(argv)
+        else:
+            assert cli.main(argv) == code
+
     def test_config_error(self, tmp_path):
         assert cli.main(["--out", str(tmp_path),
                          "--override", "pulse.m_oam=0",
