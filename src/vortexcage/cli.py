@@ -88,9 +88,10 @@ def _dominant_transitions(exc: dynamics.ExcitationState,
     return ";".join(parts)
 
 
-def _evaluate_point(run: RunConfig, grid, ts, omega_ev: float,
-                    meta: dict) -> dict:
-    """One scan record: excite with the given frequency, integrate magnetics.
+def _evaluate_point(run: RunConfig, kernel: observables.ScanKernel, ts,
+                    omega_ev: float, meta: dict) -> dict:
+    """One scan record: excite with the given frequency, contract the
+    kernel of the set's targets.
 
     The transition matrix has no frequency content (spatial operator only),
     so a cached set is reused across an omega scan with just the pulse
@@ -100,10 +101,7 @@ def _evaluate_point(run: RunConfig, grid, ts, omega_ev: float,
     ts_at_omega = dataclasses.replace(ts, pulse=shifted)
     exc = dynamics.excite(ts_at_omega, run.basis, run.validity_threshold,
                           warn=False)
-    field = observables.sample_current(exc, run.basis, grid, run.eta,
-                                       run.charge_convention)
-    mag = observables.magnetics(field, r_cut=run.r_cut, warn=False)
-    jr, jp, jz = observables.cylindrical_decomposition(field)
+    mag, (jr, jp, jz) = kernel.observables(exc)
     rec = {
         "omega_eV": omega_ev,
         "mz_au": float(mag.moment_au[2]),
@@ -121,7 +119,7 @@ def _evaluate_point(run: RunConfig, grid, ts, omega_ev: float,
 
 def _map(func, items, threads: int) -> list:
     """Ordered ``func(item)`` results; the pool size never changes them
-    (records are pure functions of their item)."""
+    (each result is a pure function of its item)."""
     if threads <= 1:
         return [func(item) for item in items]
     with concurrent.futures.ThreadPoolExecutor(max_workers=threads) as pool:
@@ -155,17 +153,21 @@ def _scan(run: RunConfig, out_dir: Path, threads: int, command: str, grid,
           families) -> ScanResult:
     """Scan ``(pulse, photon energies in eV, record metadata)`` families.
 
-    One transition set per family, then one record per (family, energy),
+    One transition set per family and one ``observables.scan_kernel`` per
+    distinct target set on the grid, then one record per (family, energy),
     written to ``<command>.csv`` and, if configured, ``<command>_long.csv``.
     """
     _write_metadata(run, out_dir, command)
     sets = _map(lambda family: coupling.build_transition_set(
         run.basis, family[0], grid), families, threads)
-    points = [(ts, omega_ev, meta)
+    kernels = {targets: observables.scan_kernel(
+        run.basis, [run.basis.orbitals[i] for i in targets], grid, run.eta,
+        run.charge_convention, run.r_cut)
+        for targets in dict.fromkeys(ts.unoccupied for ts in sets)}
+    points = [(kernels[ts.unoccupied], ts, omega_ev, meta)
               for ts, (_, omegas, meta) in zip(sets, families)
               for omega_ev in omegas]
-    result = ScanResult(_map(lambda point: _evaluate_point(run, grid, *point),
-                             points, threads))
+    result = ScanResult([_evaluate_point(run, *point) for point in points])
     stem = command.replace("-", "_")
     result.write_csv(out_dir / f"{stem}.csv")
     if run.raw["output"]["long_format"]:
@@ -347,7 +349,12 @@ def _run_checks(run: RunConfig):
 
     pulse = run.make_pulse(rho0=0.0)
     ts = coupling.build_transition_set(basis, pulse, grid)
-    mmax = max(ts.max_abs(), 1e-300)
+    # a vanishing response (high charges) has a roundoff-level max|M|, so
+    # the selection and convergence checks also scale by the centred
+    # m = +1 set at the same A0 (|M| is the same for m = -1)
+    floor = (ts if abs(pulse.m_oam) == 1 else coupling.build_transition_set(
+        basis, run.make_pulse(m_oam=1, rho0=0.0), grid)).max_abs()
+    mmax = max(ts.max_abs(), floor, 1e-300)
     bad_az = bad_par = 0.0
     for jr, j_idx in enumerate(ts.unoccupied):
         oj = basis.orbitals[j_idx]
@@ -395,7 +402,7 @@ def _run_checks(run: RunConfig):
                "skipped (no DC current for this pulse)", "check")
 
     conv_ts = coupling.build_transition_set(
-        basis, pulse, grid, check_convergence=True)
+        basis, pulse, grid, check_convergence=True, drift_floor=floor)
     worst = float(conv_ts.convergence.max()) if conv_ts.convergence is not None \
         else 0.0
     yield ("matrix-element-convergence", worst < 1e-6,

@@ -133,17 +133,45 @@ def _is_int(value) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
 
 
+def _is_real(value) -> bool:
+    return (isinstance(value, (int, float)) and not isinstance(value, bool)
+            and math.isfinite(value))
+
+
+_INT_KEYS = {"pulse": ("m_oam", "p"),
+             "numerics": ("n_radial", "angular_margin"),
+             "scan": ("plane_resolution",)}
+_REAL_KEYS = {"pulse": ("omega_ev", "waist_nm"),
+              "numerics": ("r_max_factor", "r_cut_bohr", "validity_threshold"),
+              "model": ("cage_radius_bohr", "band1_offset_hartree",
+                        "band2_offset_hartree", "band_gap_ev", "eta_hartree"),
+              "scan": ("plane_extent_bohr",)}
+_OPTIONAL_REAL_KEYS = {"pulse": ("intensity_w_cm2", "a0_au", "fwhm_fs",
+                                 "delta_au", "rho0_ratio", "rho0_nm")}
+_INT_LISTS = {"scan": ("charges",), "model": ("l_max", "electrons")}
+_REAL_LISTS = {"scan": ("rho0_ratios",),
+               "model": ("shell_radii_bohr", "shell_widths_bohr")}
+
+
 def _validate(cfg: dict) -> None:
-    for block, key in (("pulse", "m_oam"), ("pulse", "p"),
-                       ("numerics", "n_radial"), ("numerics", "angular_margin"),
-                       ("scan", "plane_resolution")):
-        if not _is_int(cfg[block][key]):
-            raise ConfigError(f"{block}.{key} must be an integer, "
-                              f"got {cfg[block][key]!r}")
-    charges = cfg["scan"]["charges"]
-    if not (isinstance(charges, list) and all(_is_int(m) for m in charges)):
-        raise ConfigError(f"scan.charges must be a list of integers, "
-                          f"got {charges!r}")
+    for keys, test, what in (
+            (_INT_KEYS, _is_int, "an integer"),
+            (_REAL_KEYS, _is_real, "a finite number"),
+            (_OPTIONAL_REAL_KEYS, lambda v: v is None or _is_real(v),
+             "a finite number or null"),
+            (_INT_LISTS, lambda v: isinstance(v, list)
+             and all(_is_int(x) for x in v), "a list of integers"),
+            (_REAL_LISTS, lambda v: isinstance(v, list)
+             and all(_is_real(x) for x in v), "a list of finite numbers")):
+        for block, names in keys.items():
+            for key in names:
+                if not test(cfg[block][key]):
+                    raise ConfigError(f"{block}.{key} must be {what}, "
+                                      f"got {cfg[block][key]!r}")
+    model = cfg["model"]
+    for key in ("shell_radii_bohr", "shell_widths_bohr", "l_max", "electrons"):
+        if len(model[key]) != 3:
+            raise ConfigError(f"model.{key} must list three bands")
     pulse = cfg["pulse"]
     if not pulse["omega_ev"] > 0:
         raise ConfigError("pulse.omega_ev must be positive")
@@ -156,16 +184,16 @@ def _validate(cfg: dict) -> None:
         raise ConfigError("pulse: specify at most one of rho0_ratio and rho0_nm")
     if pulse["rho0_ratio"] not in (None, 0, 0.0) and pulse["m_oam"] == 0:
         raise ConfigError("pulse: rho0_ratio needs m_oam != 0 (no ring radius)")
-    model = cfg["model"]
-    for key in ("shell_radii_bohr", "shell_widths_bohr", "l_max", "electrons"):
-        if len(model[key]) != 3:
-            raise ConfigError(f"model.{key} must list three bands")
-    scan = cfg["scan"]
-    rng = scan["omega_ev"]
+    rng = cfg["scan"]["omega_ev"]
     if not (isinstance(rng, dict) and {"start", "stop", "step"} <= set(rng)):
         raise ConfigError("scan.omega_ev needs start/stop/step")
+    if not all(_is_real(rng[k]) for k in ("start", "stop", "step")):
+        raise ConfigError(f"scan.omega_ev start/stop/step must be finite "
+                          f"numbers, got {rng!r}")
     if rng["step"] <= 0 or rng["stop"] < rng["start"]:
         raise ConfigError("scan.omega_ev range is empty or inverted")
+    if rng["start"] <= 0:
+        raise ConfigError("scan.omega_ev photon energies must be positive")
     conv = cfg["numerics"]["charge_convention"]
     if conv not in ("electron", "probability"):
         raise ConfigError(f"numerics.charge_convention: unknown value {conv!r}")

@@ -47,7 +47,7 @@ class TransitionSet:
     matrix: np.ndarray            # complex, shape (n_unocc, n_occ)
     pulse: object
     grid_meta: dict
-    convergence: np.ndarray | None = None   # per-entry |delta M| / max|M|
+    convergence: np.ndarray | None = None   # per-entry |delta M| / drift scale
     pruned: tuple[tuple[int, int], ...] = ()
 
     def max_abs(self) -> float:
@@ -101,13 +101,16 @@ def _refined(grid: QuadratureGrid) -> QuadratureGrid:
 def build_transition_set(basis: structure.Basis, pulse, grid: QuadratureGrid,
                          occupied=None, unoccupied=None,
                          prune: bool = True,
-                         check_convergence: bool = False) -> TransitionSet:
+                         check_convergence: bool = False,
+                         drift_floor: float = 0.0) -> TransitionSet:
     """All (occupied band-2) x (unoccupied band-3) elements by default.
 
     Rows follow ``unoccupied`` order, columns ``occupied`` order.  Entries
     below 1e-14 * max|M| are zeroed and recorded in ``pruned``.  With
     ``check_convergence`` the set is recomputed on the refined grid;
-    a ConvergenceWarning flags a drift above 1e-6 of max|M|.
+    a ConvergenceWarning flags a drift above 1e-6 of max|M| there, or of
+    ``drift_floor`` if that is larger (a vanishing set's max|M| is
+    roundoff).
     """
     if occupied is None:
         occupied = [o for o in basis.band_orbitals(2) if o.occupied]
@@ -120,7 +123,7 @@ def build_transition_set(basis: structure.Basis, pulse, grid: QuadratureGrid,
     if check_convergence:
         ref = interaction_matrix(pulse, basis, unoccupied, occupied,
                                  _refined(grid))
-        scale = max(float(np.max(np.abs(ref))), 1e-300)
+        scale = max(float(np.max(np.abs(ref))), drift_floor, 1e-300)
         conv = np.abs(ref - mat) / scale
         worst = float(np.max(conv))
         if worst > 1e-6:

@@ -15,6 +15,12 @@ every contribution is divergence-free.  The orbital moment is (1/2) int r x j
 and the center field follows from the Biot-Savart kernel (r x j)/r^3 with
 mu0/(4 pi) = alpha^2 in atomic units; a right-handed (+phi) loop therefore
 gives B_z > 0, pinning the sign convention against the analytic ring.
+
+All of these are linear in the coherences C^g, which alone depend on the
+pulse.  Scans therefore integrate each pair current conj(psi_l) grad psi_l'
+once per grid (``scan_kernel``) and contract the coherences of each scan
+point against those integrals; the sampled path serves plane lattices and
+checks.
 """
 
 from __future__ import annotations
@@ -34,6 +40,7 @@ __all__ = [
     "CurrentField",
     "CutoffLeakWarning",
     "MagneticsResult",
+    "ScanKernel",
     "b_field_center",
     "current_samples",
     "cylindrical_decomposition",
@@ -45,6 +52,7 @@ __all__ = [
     "ring_current_field",
     "sample_current",
     "sample_current_plane",
+    "scan_kernel",
     "write_plane",
 ]
 
@@ -83,30 +91,35 @@ class MagneticsResult:
 # DC current assembly
 # ---------------------------------------------------------------------------
 
-def _coherence_blocks(excitation, basis, eta):
-    """Interfering substate blocks: same (band, l, rep label), energies
-    within eta.  Returns the target orbitals plus per-block row lists."""
-    ts = excitation.transitions
-    unocc = [basis.orbitals[i] for i in ts.unoccupied]
-    row_of = {o.index: r for r, o in enumerate(unocc)}
+def _coherence_blocks(targets, eta):
+    """Interfering substate blocks of the target orbitals: same (band, l,
+    rep label), energies within eta.  Returns lists of target rows."""
+    row_of = {o.index: r for r, o in enumerate(targets)}
     by_rep: dict[tuple, list] = {}
-    for o in unocc:
+    for o in targets:
         by_rep.setdefault((o.band, o.l, o.rep_label), []).append(o)
-    blocks = []
-    for members in by_rep.values():
-        for grp in structure.degenerate_groups(members, eta):
-            blocks.append([row_of[o.index] for o in grp])
-    return unocc, blocks
+    return [[row_of[o.index] for o in grp]
+            for members in by_rep.values()
+            for grp in structure.degenerate_groups(members, eta)]
+
+
+def _charge_sign(charge_convention: str) -> float:
+    if charge_convention == "electron":
+        return -1.0
+    if charge_convention == "probability":
+        return 1.0
+    raise ValueError(f"unknown charge convention {charge_convention!r}")
 
 
 def current_samples(excitation, basis, points, eta: float = DEFAULT_ETA,
                     charge_convention: str = "electron") -> np.ndarray:
     """DC current density at a grid's or an (n, 3) array's points, (n_pts, 3)."""
-    unocc, blocks = _coherence_blocks(excitation, basis, eta)
+    sign = _charge_sign(charge_convention)
+    unocc = [basis.orbitals[i] for i in excitation.transitions.unoccupied]
     psi, grad = structure.orbital_tables(basis, unocc, points)
     amps = excitation.amplitudes
     j = np.zeros((psi.shape[1], 3))
-    for rows in blocks:
+    for rows in _coherence_blocks(unocc, eta):
         # source-summed coherence matrix C[l, l'] = sum_k conj(B_lk) B_l'k
         b_block = amps[rows, :]
         coh = b_block.conj() @ b_block.T
@@ -116,11 +129,7 @@ def current_samples(excitation, basis, points, eta: float = DEFAULT_ETA,
         grad_g = grad[rows]
         mixed = np.einsum("lm,ln->mn", coh, psi_g.conj())
         j += 2.0 * np.einsum("mn,mnc->nc", mixed, grad_g).imag
-    if charge_convention == "electron":
-        j = -j
-    elif charge_convention != "probability":
-        raise ValueError(f"unknown charge convention {charge_convention!r}")
-    return j
+    return sign * j
 
 
 def sample_current(excitation, basis, grid, eta: float = DEFAULT_ETA,
@@ -128,6 +137,76 @@ def sample_current(excitation, basis, grid, eta: float = DEFAULT_ETA,
     """Current field sampled on an integration grid."""
     j = current_samples(excitation, basis, grid, eta, charge_convention)
     return CurrentField(points=grid.points, j=j, weights=grid.weights)
+
+
+@dataclass(frozen=True, eq=False)
+class ScanKernel:
+    """Grid integrals of every coherence-pair current of a target set.
+
+    With X = conj(psi_l) grad psi_l' for l, l' in one block, the current is
+    j = sum_q u_q F_q over rows q that pair u = 2 Re C_ll' with F = Im X
+    and u = 2 Im C_ll' with F = Re X (a diagonal pair has only the first,
+    as C_ll is real).  Moment, center field and the cylindrical components
+    are linear in j, so each is taken per row once and a scan point only
+    contracts its coherences against them.
+    """
+
+    targets: tuple[int, ...]      # basis indices, in transition-set row order
+    left: np.ndarray              # target row l of each pair row
+    right: np.ndarray             # target row l' of each pair row
+    imag_coherence: np.ndarray    # True where u = 2 Im C (F = Re X)
+    moment: np.ndarray            # (n_rows, 3) moment of each row field, a.u.
+    b_center: np.ndarray          # (n_rows, 3) center field of each row, a.u.
+    components: np.ndarray        # (3, n_rows, n_pts) F along rho, phi, z
+    weights: np.ndarray
+
+    def observables(self, excitation):
+        """``(MagneticsResult, (|j_rho|, |j_phi|, |j_z|))`` of the DC current
+        that ``excitation`` leaves, as ``magnetics`` (without the cutoff
+        warning) and ``cylindrical_decomposition`` of the sampled field."""
+        if tuple(excitation.transitions.unoccupied) != self.targets:
+            raise ValueError("excitation targets differ from the kernel's")
+        amps = excitation.amplitudes
+        coh = np.sum(amps[self.left].conj() * amps[self.right], axis=1)
+        u = 2.0 * np.where(self.imag_coherence, coh.imag, coh.real)
+        mag = _magnetics_result(u @ self.moment, u @ self.b_center)
+        # the norms square the contracted component fields: a quadratic form
+        # in u would cancel under the square root
+        norms = tuple(float(np.sqrt(np.sum(self.weights * (u @ comp) ** 2)))
+                      for comp in self.components)
+        return mag, norms
+
+
+def scan_kernel(basis, targets, grid, eta: float = DEFAULT_ETA,
+                charge_convention: str = "electron",
+                r_cut: float = DEFAULT_R_CUT) -> ScanKernel:
+    """``ScanKernel`` of the target orbitals on an integration grid.
+
+    The orbitals are tabulated once; every scan point that excites these
+    targets on this grid then reuses the integrals.
+    """
+    targets = list(targets)
+    sign = _charge_sign(charge_convention)
+    psi, grad = structure.orbital_tables(basis, targets, grid)
+    rows = [(l, lp, imag_c) for block in _coherence_blocks(targets, eta)
+            for l in block for lp in block
+            for imag_c in ((False,) if l == lp else (False, True))]
+    pts, w = grid.points, grid.weights
+    moment = np.empty((len(rows), 3))
+    b_center = np.empty((len(rows), 3))
+    components = np.empty((3, len(rows), len(w)))
+    for q, (l, lp, imag_c) in enumerate(rows):
+        x = psi[l].conj()[:, None] * grad[lp]
+        field = CurrentField(points=pts, j=sign * (x.real if imag_c else x.imag),
+                             weights=w)
+        moment[q] = magnetic_moment(field)
+        b_center[q] = b_field_center(field, r_cut=r_cut, warn=False)
+        components[:, q] = _cylindrical_components(field)
+    left, right, imag_c = np.array(rows, dtype=int).reshape(-1, 3).T
+    return ScanKernel(targets=tuple(o.index for o in targets), left=left,
+                      right=right, imag_coherence=imag_c.astype(bool),
+                      moment=moment, b_center=b_center,
+                      components=components, weights=w)
 
 
 def plane_lattice(plane: str, extent: float, resolution: int) -> np.ndarray:
@@ -172,11 +251,10 @@ def write_plane(path, plane: str, extent: float, points, j):
 # integrated observables
 # ---------------------------------------------------------------------------
 
-def cylindrical_decomposition(field: CurrentField):
-    """Integrated L2 norms (|j_rho|, |j_phi|, |j_z|) of the components."""
+def _cylindrical_components(field: CurrentField):
+    """(j_rho, j_phi, j_z) at each point; j_rho = j_phi = 0 on the z axis."""
     pts = field.points.reshape(-1, 3)
     j = field.j.reshape(-1, 3)
-    w = field.weights
     rho = np.hypot(pts[:, 0], pts[:, 1])
     safe = np.where(rho > 1e-300, rho, 1.0)
     on_axis = rho <= 1e-300
@@ -184,8 +262,13 @@ def cylindrical_decomposition(field: CurrentField):
     j_phi = (j[:, 1] * pts[:, 0] - j[:, 0] * pts[:, 1]) / safe
     j_rho[on_axis] = 0.0
     j_phi[on_axis] = 0.0
-    return tuple(float(np.sqrt(np.sum(w * c * c)))
-                 for c in (j_rho, j_phi, j[:, 2]))
+    return j_rho, j_phi, j[:, 2]
+
+
+def cylindrical_decomposition(field: CurrentField):
+    """Integrated L2 norms (|j_rho|, |j_phi|, |j_z|) of the components."""
+    return tuple(float(np.sqrt(np.sum(field.weights * c * c)))
+                 for c in _cylindrical_components(field))
 
 
 def magnetic_moment(field: CurrentField) -> np.ndarray:
@@ -223,8 +306,12 @@ def b_field_center(field: CurrentField, r_cut: float = DEFAULT_R_CUT,
 def magnetics(field: CurrentField, r_cut: float = DEFAULT_R_CUT,
               warn: bool = True) -> MagneticsResult:
     """Moment and center field together, with the loop-radius diagnostic."""
-    moment = magnetic_moment(field)
-    b_au = b_field_center(field, r_cut=r_cut, warn=warn)
+    return _magnetics_result(magnetic_moment(field),
+                             b_field_center(field, r_cut=r_cut, warn=warn))
+
+
+def _magnetics_result(moment, b_au) -> MagneticsResult:
+    """Attach the ring radius whose moment/field ratio matches m_z / B_z."""
     r_eff = None
     if b_au[2] != 0.0:
         val = 2.0 * MU0_OVER_4PI_AU * float(moment[2]) / float(b_au[2])

@@ -206,6 +206,15 @@ class TestCheckCommand:
         assert rc == 2
         assert "FAIL eta-degeneracy-sanity" in capsys.readouterr().out
 
+    def test_vanishing_response_passes(self, tmp_path):
+        # the centred m = 12 set is pure roundoff; the selection and
+        # convergence checks measure it against the m = +1 set
+        assert cli.main(["--out", str(tmp_path),
+                         "--override", "pulse.m_oam=12", "check"]) == 0
+        report = (tmp_path / "check_report.txt").read_text()
+        assert "PASS azimuthal-selection" in report
+        assert "PASS matrix-element-convergence" in report
+
 
 class TestExitCodes:
     @pytest.mark.parametrize("override, command", [
@@ -223,6 +232,11 @@ class TestExitCodes:
         ("numerics.r_max_factor=0", "spectrum"),
         ("model.symmetry_table={missing}", "spectrum"),
         ("scan.plane_resolution=16", "planes"),
+        ("pulse.omega_ev=abc", "spectrum"),
+        ("pulse.waist_nm=abc", "spectrum"),
+        ("scan.rho0_ratios=[a]", "heatmap"),
+        # braces doubled: the overrides go through str.format
+        ("scan.omega_ev={{start: -1.0, stop: 0.0, step: 0.5}}", "spectrum"),
     ])
     def test_refused_before_the_command(self, tmp_path, capsys, override,
                                         command):

@@ -1,9 +1,12 @@
+import dataclasses
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from vortexcage import coupling, dynamics, observables, structure
+from vortexcage import beam, coupling, dynamics, observables, structure
+from vortexcage.units import ev_to_hartree
 from vortexcage.units import MU0_OVER_4PI_AU
 
 from conftest import make_pulse
@@ -301,3 +304,123 @@ class TestPlanes:
             j[..., 0] = np.where(rho > 0, -b / rho * mag, 0.0)
             j[..., 1] = np.where(rho > 0, a / rho * mag, 0.0)
         assert observables.radial_ring_count(pts, j) == 2
+
+
+def kernel_for(basis, grid, ts, charge_convention="electron"):
+    return observables.scan_kernel(
+        basis, [basis.orbitals[i] for i in ts.unoccupied], grid,
+        charge_convention=charge_convention)
+
+
+def at_omega(ts, omega_ev, basis):
+    shifted = dataclasses.replace(ts, pulse=dataclasses.replace(
+        ts.pulse, omega=ev_to_hartree(omega_ev)))
+    return dynamics.excite(shifted, basis, warn=False)
+
+
+def compare_kernel_to_sampled(kernel, exc, basis, grid,
+                              charge_convention="electron"):
+    """Kernel observables against magnetics and cylindrical_decomposition
+    of the sampled field, at 1e-12 of the uncancelled scale: each integral
+    taken over |u| @ |F| instead of the current, with |F| the pointwise
+    magnitude of each row's field (rounding of a cancelled component
+    scales with the whole vector).  Returns both sets of values."""
+    mag, norms = kernel.observables(exc)
+    field = observables.sample_current(exc, basis, grid,
+                                       charge_convention=charge_convention)
+    ref = observables.magnetics(field, warn=False)
+    ref_norms = observables.cylindrical_decomposition(field)
+    amps = exc.amplitudes
+    coh = np.sum(amps[kernel.left].conj() * amps[kernel.right], axis=1)
+    u_abs = 2.0 * np.abs(np.where(kernel.imag_coherence, coh.imag, coh.real))
+    envelope = u_abs @ np.sqrt(np.sum(kernel.components ** 2, axis=0))
+    w = kernel.weights
+    r = np.linalg.norm(grid.points, axis=1)
+    keep = r >= observables.DEFAULT_R_CUT
+    m_scale = 0.5 * np.sum(w * r * envelope)
+    b_scale = MU0_OVER_4PI_AU * np.sum(w[keep] * envelope[keep] / r[keep] ** 2)
+    n_scale = math.sqrt(np.sum(w * envelope ** 2))
+    assert np.abs(mag.moment_au - ref.moment_au).max() <= 1e-12 * m_scale
+    assert np.abs(mag.b_center_au - ref.b_center_au).max() <= 1e-12 * b_scale
+    for val, ref_val in zip(norms, ref_norms):
+        assert abs(val - ref_val) <= 1e-12 * n_scale
+    return (mag, norms), (ref, ref_norms)
+
+
+@pytest.fixture(scope="module")
+def symmetry_basis(tmp_path_factory):
+    # e_g / t2g substates for l = 2: two- and three-dimensional blocks
+    s = 1.0 / math.sqrt(2.0)
+    path = tmp_path_factory.mktemp("table") / "table.dat"
+    path.write_text("\n".join([
+        f"2 eg 0 2 {s} 0.0", f"2 eg 0 -2 {s} 0.0",
+        f"2 eg 1 2 {s} 0.0", f"2 eg 1 -2 {-s} 0.0",
+        "2 t2g 0 1 1.0 0.0", "2 t2g 1 -1 1.0 0.0", "2 t2g 2 0 1.0 0.0"]))
+    table = structure.load_symmetry_coefficients(path)
+    return structure.build_basis(structure.default_bands(),
+                                 symmetry_table=table)
+
+
+@pytest.fixture(scope="module")
+def symmetry_setup(symmetry_basis, grid):
+    ts = coupling.build_transition_set(symmetry_basis, make_pulse(1), grid)
+    return ts, kernel_for(symmetry_basis, grid, ts)
+
+
+class TestScanKernel:
+    @pytest.mark.parametrize("charge_convention", ["electron", "probability"])
+    def test_centred_matches_sampled(self, basis, grid, ts_m1,
+                                     charge_convention):
+        kernel = kernel_for(basis, grid, ts_m1, charge_convention)
+        assert len(kernel.left) == len(ts_m1.unoccupied)   # 1-D blocks
+        for omega_ev in (5.0, 7.75, 8.0, 11.25, 15.0):
+            exc = at_omega(ts_m1, omega_ev, basis)
+            (mag, norms), (ref, ref_norms) = compare_kernel_to_sampled(
+                kernel, exc, basis, grid, charge_convention)
+            assert mag.moment_au[2] == pytest.approx(ref.moment_au[2],
+                                                     rel=1e-12, abs=0.0)
+            assert mag.b_center_au[2] == pytest.approx(ref.b_center_au[2],
+                                                       rel=1e-12, abs=0.0)
+            assert norms[1] == pytest.approx(ref_norms[1], rel=1e-12, abs=0.0)
+            assert mag.effective_radius == pytest.approx(
+                ref.effective_radius, rel=1e-12)
+
+    def test_offset_beam_matches_sampled(self, basis, grid):
+        rho0 = 1.0 * beam.rho_max(1, make_pulse(1).waist)
+        ts = coupling.build_transition_set(basis, make_pulse(1, rho0=rho0),
+                                           grid)
+        kernel = kernel_for(basis, grid, ts)
+        for omega_ev in (7.75, 8.0, 10.5):
+            compare_kernel_to_sampled(kernel, at_omega(ts, omega_ev, basis),
+                                      basis, grid)
+
+    def test_symmetry_blocks_match_sampled(self, symmetry_basis, grid,
+                                           symmetry_setup):
+        ts, kernel = symmetry_setup
+        assert np.any(kernel.left != kernel.right)         # cross terms
+        for omega_ev in (7.0, 8.0, 9.5):
+            compare_kernel_to_sampled(kernel,
+                                      at_omega(ts, omega_ev, symmetry_basis),
+                                      symmetry_basis, grid)
+
+    @settings(max_examples=20, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), exponent=st.integers(-8, 2),
+           density=st.floats(0.05, 1.0))
+    def test_random_amplitudes_match_sampled(self, symmetry_basis, grid,
+                                             symmetry_setup, seed, exponent,
+                                             density):
+        ts, kernel = symmetry_setup
+        rng = np.random.default_rng(seed)
+        shape = ts.matrix.shape
+        amps = (rng.normal(size=shape) + 1j * rng.normal(size=shape)) \
+            * 10.0 ** exponent * (rng.uniform(size=shape) < density)
+        exc = dataclasses.replace(dynamics.excite(ts, symmetry_basis,
+                                                  warn=False),
+                                  amplitudes=amps)
+        compare_kernel_to_sampled(kernel, exc, symmetry_basis, grid)
+
+    def test_refuses_other_targets(self, basis, grid, ts_m1, exc_m1):
+        kernel = observables.scan_kernel(
+            basis, [basis.orbitals[i] for i in ts_m1.unoccupied[:-1]], grid)
+        with pytest.raises(ValueError):
+            kernel.observables(exc_m1)
