@@ -20,8 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .numerics import laguerre
-from .units import (AU_INTENSITY_W_CM2, ev_to_hartree, field_amplitude_au,
-                    fs_to_au, nm_to_bohr)
+from .units import AU_INTENSITY_W_CM2, fs_to_au
 
 __all__ = [
     "VortexPulse",
@@ -30,8 +29,6 @@ __all__ = [
     "mode_profile",
     "normalization",
     "rho_max",
-    "vector_potential",
-    "divergence_a",
 ]
 
 
@@ -108,29 +105,6 @@ class VortexPulse:
         if abs(self.m_oam) > 40 or not (0 <= self.p <= 8):
             raise ValueError(f"unsupported mode indices m={self.m_oam}, p={self.p}")
 
-    @classmethod
-    def from_experimental(cls, m_oam: int, omega_ev: float, waist_nm: float,
-                          intensity_w_cm2: float | None = None,
-                          a0: float | None = None,
-                          fwhm_fs: float | None = None,
-                          delta: float | None = None,
-                          p: int = 0, offset=(0.0, 0.0),
-                          legacy_normalization: bool = False) -> "VortexPulse":
-        """Build from experimental units (eV, nm, fs, W/cm^2)."""
-        if (intensity_w_cm2 is None) == (a0 is None):
-            raise ValueError("give exactly one of intensity_w_cm2, a0")
-        if (fwhm_fs is None) == (delta is None):
-            raise ValueError("give exactly one of fwhm_fs, delta")
-        omega = ev_to_hartree(omega_ev)
-        if a0 is None:
-            a0 = field_amplitude_au(intensity_w_cm2) / omega
-        if delta is None:
-            delta = delta_from_fwhm_fs(fwhm_fs)
-        return cls(a0=a0, m_oam=m_oam, omega=omega, delta=delta,
-                   waist=nm_to_bohr(waist_nm), p=p,
-                   offset=(float(offset[0]), float(offset[1])),
-                   legacy_normalization=legacy_normalization)
-
     @property
     def amplitude_norm(self) -> float:
         return normalization(self.a0, self.m_oam, self.p,
@@ -140,9 +114,6 @@ class VortexPulse:
     def intensity_w_cm2(self) -> float:
         """Intensity implied by I = (1/2) eps0 c (omega a0)^2."""
         return (self.omega * self.a0) ** 2 * AU_INTENSITY_W_CM2
-
-    def envelope(self, t):
-        return np.exp(-self.delta * np.asarray(t) ** 2)
 
     def transverse(self, points):
         """(rho', phi') of points relative to the optical axis."""
@@ -207,27 +178,6 @@ def _profile_with_derivative(pulse: VortexPulse, rho):
             fp[~pos] = edge
             f_over_rho[~pos] = edge
     return f, fp, f_over_rho
-
-
-def vector_potential(pulse: VortexPulse, points, t: float) -> np.ndarray:
-    """Positive-frequency vector potential at time t, shape (..., 3).
-
-    The field points along x-hat.  The physical (real) field adds the
-    complex conjugate; that sum is handled where dynamics needs it.
-    """
-    a_x, _ = pulse.spatial_amplitude(points)
-    carrier = np.exp(-1j * pulse.omega * t) * pulse.envelope(t)
-    out = np.zeros(a_x.shape + (3,), dtype=complex)
-    out[..., 0] = a_x * carrier
-    return out[0] if np.asarray(points).ndim == 1 else out
-
-
-def divergence_a(pulse: VortexPulse, points, t: float):
-    """d/dx of the positive-frequency A_x (analytic), time factors included."""
-    _, div = pulse.spatial_amplitude(points)
-    carrier = np.exp(-1j * pulse.omega * t) * pulse.envelope(t)
-    out = div * carrier
-    return out[0] if np.asarray(points).ndim == 1 else out
 
 
 def envelope_fwhm(delta: float) -> float:

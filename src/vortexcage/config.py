@@ -18,6 +18,7 @@ import yaml
 
 from . import structure
 from .beam import VortexPulse, delta_from_fwhm_fs, rho_max
+from .coupling import transition_orbitals
 from .numerics import build_grid, check_grid_args
 from .observables import plane_lattice
 from .units import ev_to_hartree, field_amplitude_au, nm_to_bohr
@@ -151,6 +152,7 @@ _OPTIONAL_REAL_KEYS = {"pulse": ("intensity_w_cm2", "a0_au", "fwhm_fs",
 _INT_LISTS = {"scan": ("charges",), "model": ("l_max", "electrons")}
 _REAL_LISTS = {"scan": ("rho0_ratios",),
                "model": ("shell_radii_bohr", "shell_widths_bohr")}
+_BOOL_KEYS = {"pulse": ("legacy_normalization",), "output": ("long_format",)}
 
 
 def _validate(cfg: dict) -> None:
@@ -162,7 +164,8 @@ def _validate(cfg: dict) -> None:
             (_INT_LISTS, lambda v: isinstance(v, list)
              and all(_is_int(x) for x in v), "a list of integers"),
             (_REAL_LISTS, lambda v: isinstance(v, list)
-             and all(_is_real(x) for x in v), "a list of finite numbers")):
+             and all(_is_real(x) for x in v), "a list of finite numbers"),
+            (_BOOL_KEYS, lambda v: isinstance(v, bool), "true or false")):
         for block, names in keys.items():
             for key in names:
                 if not test(cfg[block][key]):
@@ -172,6 +175,13 @@ def _validate(cfg: dict) -> None:
     for key in ("shell_radii_bohr", "shell_widths_bohr", "l_max", "electrons"):
         if len(model[key]) != 3:
             raise ConfigError(f"model.{key} must list three bands")
+    if not model["cage_radius_bohr"] > 0:
+        raise ConfigError("model.cage_radius_bohr must be positive")
+    if not all(w > 0 for w in model["shell_widths_bohr"]):
+        raise ConfigError("model.shell_widths_bohr must all be positive")
+    for key in ("l_max", "electrons"):
+        if any(v < 0 for v in model[key]):
+            raise ConfigError(f"model.{key} must not be negative")
     pulse = cfg["pulse"]
     if not pulse["omega_ev"] > 0:
         raise ConfigError("pulse.omega_ev must be positive")
@@ -230,10 +240,12 @@ class RunConfig:
     @classmethod
     def resolve(cls, cfg: dict) -> "RunConfig":
         """Unit-converted setup.  Values that the symmetry-table loader or
-        the basis, pulse, grid and plane-lattice constructors refuse raise
-        ConfigError here, before any command starts."""
+        the basis, pulse, grid and plane-lattice constructors refuse, and a
+        basis with no transitions, raise ConfigError here, before any
+        command starts."""
         try:
             run = cls._convert(cfg)
+            transition_orbitals(run.basis)
             for m in [run.m_oam, *cfg["scan"]["charges"]]:
                 run.make_pulse(m_oam=m)
             check_grid_args(*run._grid_args())

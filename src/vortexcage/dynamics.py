@@ -28,7 +28,6 @@ __all__ = [
     "excite",
     "propagate_oracle",
     "spectral_factor",
-    "write_population_table",
 ]
 
 VALIDITY_THRESHOLD = 0.05
@@ -62,7 +61,6 @@ class ExcitationState:
     """Post-pulse amplitudes B[j, k] = i G M for every source k."""
 
     transitions: coupling.TransitionSet
-    spectral: np.ndarray          # real G[j, k]
     amplitudes: np.ndarray        # complex B[j, k]
     validity_metric: float        # max over sources of total excited population
     validity_threshold: float
@@ -87,38 +85,37 @@ def excite(transitions: coupling.TransitionSet, basis: structure.Basis,
         warnings.warn(
             f"excited population {metric:.3e} exceeds first-order validity "
             f"threshold {validity_threshold}", PerturbationBreakdownWarning)
-    return ExcitationState(transitions=transitions, spectral=g, amplitudes=amps,
+    return ExcitationState(transitions=transitions, amplitudes=amps,
                            validity_metric=metric,
                            validity_threshold=validity_threshold,
                            breakdown=breakdown)
 
 
 def propagate_oracle(basis: structure.Basis, pulse, grid, dt: float,
-                     occupied=None, states=None, t_span=None,
-                     norm_tol: float = 1e-8):
+                     occupied=None):
     """Directly integrated final coefficients, one occupied source at a time.
 
-    The Hilbert space is spanned by ``states`` (default: all band-2 and
-    band-3 orbitals).  The full real field enters as
+    The Hilbert space is spanned by the band-2 and band-3 orbitals
+    (``states``); the sources are ``occupied`` (default: every occupied
+    state).  The full real field enters as
     H(t) = env(t) [O e^-iwt + O^dag e^+iwt] with O the positive-frequency
     operator matrix; integration is fixed-step RK4 in the interaction
-    picture.  Returns (coefficients, states) where coefficients[s, a] is the
-    final amplitude of basis state a for source s (interaction picture, so
-    post-pulse values are time-independent).
+    picture over |t| <= 6 / sqrt(delta).  Returns (coefficients, states)
+    where coefficients[s, a] is the final amplitude of basis state a for
+    source s (interaction picture, so post-pulse values are
+    time-independent).
 
     Raises ValueError on carrier-unresolving steps (dt > 0.05 * 2pi/omega)
-    and ConvergenceError on norm drift beyond ``norm_tol``.
+    and ConvergenceError on norm drift beyond 1e-8.
     """
-    if states is None:
-        states = basis.band_orbitals(2) + basis.band_orbitals(3)
+    states = basis.band_orbitals(2) + basis.band_orbitals(3)
     if occupied is None:
         occupied = [o for o in states if o.occupied]
     if dt > 0.05 * 2.0 * math.pi / pulse.omega:
         raise ValueError(f"dt={dt} too coarse for carrier period "
                          f"{2 * math.pi / pulse.omega:.3f}")
-    if t_span is None:
-        half = 6.0 / math.sqrt(pulse.delta)
-        t_span = (-half, half)
+    t1 = 6.0 / math.sqrt(pulse.delta)
+    t0 = -t1
     op = coupling.interaction_matrix(pulse, basis, states, states, grid)
     eps = np.array([o.energy for o in states])
     pos = {o.index: a for a, o in enumerate(states)}
@@ -132,7 +129,6 @@ def propagate_oracle(basis: structure.Basis, pulse, grid, dt: float,
         # interaction picture: i dc/dt = e^{i eps_a t} H_ab e^{-i eps_b t} c_b
         return -1j * phase * (h @ (c / phase))
 
-    t0, t1 = t_span
     n_steps = int(math.ceil((t1 - t0) / dt))
     coeffs = np.zeros((len(occupied), len(states)), dtype=complex)
     for s, source in enumerate(occupied):
@@ -148,25 +144,9 @@ def propagate_oracle(basis: structure.Basis, pulse, grid, dt: float,
             c = c + (step / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
             t += step
         drift = abs(float(np.sum(np.abs(c) ** 2)) - 1.0)
-        if drift > norm_tol:
-            raise ConvergenceError(f"norm drift {drift:.3e} exceeds {norm_tol}; "
-                               f"reduce dt")
+        if drift > 1e-8:
+            raise ConvergenceError(f"norm drift {drift:.3e} exceeds 1e-08; "
+                                   f"reduce dt")
         coeffs[s] = c
     return coeffs, states
 
-
-def write_population_table(state: ExcitationState, basis: structure.Basis,
-                           path):
-    """Text dump: k j eps_k eps_j |M| G |B|^2."""
-    ts = state.transitions
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("# k j eps_k eps_j abs_m g pop\n")
-        for kc, k_idx in enumerate(ts.occupied):
-            for jr, j_idx in enumerate(ts.unoccupied):
-                fh.write(
-                    f"{k_idx} {j_idx} "
-                    f"{basis.orbitals[k_idx].energy:.17g} "
-                    f"{basis.orbitals[j_idx].energy:.17g} "
-                    f"{abs(ts.matrix[jr, kc]):.17g} "
-                    f"{state.spectral[jr, kc]:.17g} "
-                    f"{abs(state.amplitudes[jr, kc])**2:.17g}\n")

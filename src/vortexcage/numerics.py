@@ -13,13 +13,13 @@ import numpy as np
 
 __all__ = [
     "QuadratureGrid",
-    "assoc_legendre",
     "build_grid",
     "central_difference_gradient",
     "check_grid_args",
     "laguerre",
     "legendre_q_tables",
     "gauss_legendre",
+    "refined_grid",
 ]
 
 
@@ -66,28 +66,6 @@ def legendre_q_tables(lmax: int, x: np.ndarray):
             q[l, m] = a * (x * q[l - 1, m] - b * q[l - 2, m])
             dq[l, m] = a * (q[l - 1, m] + x * dq[l - 1, m] - b * dq[l - 2, m])
     return q, dq
-
-
-def assoc_legendre(l: int, m: int, x):
-    """Normalized associated Legendre value Ptilde_lm(x).
-
-    Normalized such that Y_lm(theta, phi) = Ptilde_lm(cos theta) e^(i m phi)
-    form an orthonormal set on the unit sphere (Condon-Shortley phase).
-    Negative m follows Ptilde_{l,-m} = (-1)^m Ptilde_{l,m}.
-    """
-    if l < 0 or abs(m) > l:
-        raise ValueError(f"invalid degree/order: l={l}, m={m}")
-    xa = np.asarray(x, dtype=float)
-    if np.any(np.abs(xa) > 1.0 + 1e-12):
-        raise ValueError("argument outside [-1, 1]")
-    xa = np.clip(xa, -1.0, 1.0)
-    ma = abs(m)
-    q, _ = legendre_q_tables(l, xa)
-    s = np.sqrt(np.maximum(0.0, 1.0 - xa * xa))
-    val = q[l, ma] * s**ma
-    if m < 0:
-        val = (-1.0) ** ma * val
-    return val if isinstance(x, np.ndarray) else float(val)
 
 
 def laguerre(p: int, alpha: int, x):
@@ -208,6 +186,15 @@ def build_grid(r_min: float, r_max: float, n_radial: int, angular_order: int,
         _weights=w.ravel(),
     )
     return grid
+
+
+def refined_grid(grid: QuadratureGrid) -> QuadratureGrid:
+    """The grid with 3/2 the radial nodes and angular order + 6.
+
+    The input grid already passed the basis gate, so it is not re-applied.
+    """
+    return build_grid(grid.r_min, grid.r_max, grid.n_radial * 3 // 2,
+                      grid.angular_order + 6)
 
 
 def central_difference_gradient(f, point, h: float = 1e-4) -> np.ndarray:

@@ -32,7 +32,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import structure
-from .numerics import angular_rule, gauss_legendre
+from .numerics import gauss_legendre
 from .structure import DEFAULT_ETA
 from .units import AU_BFIELD_T, BOHR_MAGNETON_AU, MU0_OVER_4PI_AU
 
@@ -44,7 +44,6 @@ __all__ = [
     "b_field_center",
     "current_samples",
     "cylindrical_decomposition",
-    "flux_through_sphere",
     "magnetic_moment",
     "magnetics",
     "plane_lattice",
@@ -318,18 +317,6 @@ def _magnetics_result(moment, b_au) -> MagneticsResult:
         r_eff = math.copysign(abs(val) ** (1.0 / 3.0), val)
     return MagneticsResult(moment_au=moment, b_center_au=b_au,
                            effective_radius=r_eff)
-
-
-def flux_through_sphere(sampler, radius: float, angular_order: int = 24) -> float:
-    """Net current flux through an origin-centered sphere.
-
-    For the post-pulse DC current this is a divergence diagnostic: each
-    degenerate manifold carries a stationary, divergence-free current, so
-    the flux must vanish at the quadrature level.
-    """
-    dirs, w = angular_rule(angular_order)
-    j = sampler(radius * dirs)
-    return float(radius**2 * np.sum(w * np.einsum("nc,nc->n", j, dirs)))
 
 
 # ---------------------------------------------------------------------------

@@ -36,7 +36,6 @@ __all__ = [
     "load_symmetry_coefficients",
     "orbital_tables",
     "parabolic_energy",
-    "radial_profile",
 ]
 
 DEFAULT_CAGE_RADIUS = 6.7   # bohr, averaged molecular radius
@@ -87,18 +86,6 @@ def parabolic_energy(band: BandSpec, l: int, cage_radius: float) -> float:
 # ---------------------------------------------------------------------------
 # radial shells
 # ---------------------------------------------------------------------------
-
-def radial_profile(band: BandSpec, r) -> np.ndarray:
-    """Bare normalized shell profile N exp(-(r-R_n)^2 / (2 sigma_n^2)).
-
-    Normalized against the r^2 measure: integral of |R|^2 r^2 dr over
-    [0, inf) equals 1.  This is the per-band building block; basis orbitals
-    use the cross-band orthonormalized combinations.
-    """
-    r = np.asarray(r, dtype=float)
-    shells = RadialShellSet([band.shell_radius], [band.shell_width])
-    return shells._bare_all(r.ravel())[0].reshape(r.shape)
-
 
 class RadialShellSet:
     """Orthonormalized radial functions built from Gaussian shell profiles."""
@@ -166,9 +153,6 @@ class Basis:
     @property
     def l_max(self) -> int:
         return max(b.l_max for b in self.bands)
-
-    def occupied(self) -> list[Orbital]:
-        return [o for o in self.orbitals if o.occupied]
 
     def band_orbitals(self, n: int) -> list[Orbital]:
         return [o for o in self.orbitals if o.band == n]

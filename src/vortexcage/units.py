@@ -23,10 +23,6 @@ def ev_to_hartree(e_ev):
     return e_ev / HARTREE_EV
 
 
-def hartree_to_ev(e_au):
-    return e_au * HARTREE_EV
-
-
 def nm_to_bohr(x_nm):
     return x_nm / BOHR_NM
 
@@ -44,8 +40,4 @@ def field_amplitude_au(intensity_w_cm2: float) -> float:
     if intensity_w_cm2 < 0:
         raise ValueError(f"intensity {intensity_w_cm2} W/cm^2 is negative")
     return (intensity_w_cm2 / AU_INTENSITY_W_CM2) ** 0.5
-
-
-def intensity_w_cm2(e0_au: float) -> float:
-    return e0_au**2 * AU_INTENSITY_W_CM2
 

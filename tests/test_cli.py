@@ -208,12 +208,21 @@ class TestCheckCommand:
 
     def test_vanishing_response_passes(self, tmp_path):
         # the centred m = 12 set is pure roundoff; the selection and
-        # convergence checks measure it against the m = +1 set
+        # convergence checks measure it against the m = +1 set, and its
+        # current is too small to grade
         assert cli.main(["--out", str(tmp_path),
                          "--override", "pulse.m_oam=12", "check"]) == 0
         report = (tmp_path / "check_report.txt").read_text()
         assert "PASS azimuthal-selection" in report
         assert "PASS matrix-element-convergence" in report
+        assert "SKIP current-azimuthal-purity" in report
+
+    def test_coarse_grid_fails_convergence(self, tmp_path):
+        # 16 radial nodes leave the elements far from the refined grid's
+        assert cli.main(["--out", str(tmp_path),
+                         "--override", "numerics.n_radial=16", "check"]) == 3
+        report = (tmp_path / "check_report.txt").read_text()
+        assert "FAIL matrix-element-convergence" in report
 
 
 class TestExitCodes:
@@ -235,6 +244,12 @@ class TestExitCodes:
         ("pulse.omega_ev=abc", "spectrum"),
         ("pulse.waist_nm=abc", "spectrum"),
         ("scan.rho0_ratios=[a]", "heatmap"),
+        ("model.shell_widths_bohr=[0.45, 0, 3]", "spectrum"),
+        ("model.cage_radius_bohr=0", "spectrum"),
+        ("model.electrons=[180, 0, 0]", "spectrum"),
+        ("model.l_max=[9, 5, -1]", "spectrum"),
+        ("pulse.legacy_normalization=abc", "spectrum"),
+        ("output.long_format=0", "spectrum"),
         # braces doubled: the overrides go through str.format
         ("scan.omega_ev={{start: -1.0, stop: 0.0, step: 0.5}}", "spectrum"),
     ])

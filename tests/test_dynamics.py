@@ -161,12 +161,3 @@ class TestPropagationOracle:
         with pytest.raises(ValueError):
             dynamics.propagate_oracle(basis, pulse, grid,
                                       dt=2 * math.pi / pulse.omega)
-
-
-class TestPopulationDump:
-    def test_format(self, basis, exc_m1, tmp_path):
-        path = tmp_path / "pops.dat"
-        dynamics.write_population_table(exc_m1, basis, path)
-        lines = path.read_text().splitlines()
-        assert lines[0].startswith("# k j eps_k eps_j")
-        assert len(lines) == 1 + 30 * 16

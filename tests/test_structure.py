@@ -6,7 +6,7 @@ import scipy.special
 from hypothesis import given, settings, strategies as st
 
 from vortexcage import numerics, structure
-from vortexcage.units import hartree_to_ev
+from vortexcage.units import HARTREE_EV
 
 
 def tabulated_harmonic(m, l, theta, phi):
@@ -37,7 +37,7 @@ class TestParabolicEnergy:
         e5 = structure.parabolic_energy(band2(), 5, 6.7)
         e4 = structure.parabolic_energy(band2(), 4, 6.7)
         assert e5 - e4 == pytest.approx(10.0 / (2 * 6.7**2), rel=1e-12)
-        assert hartree_to_ev(e5 - e4) == pytest.approx(3.0307, abs=2e-4)
+        assert HARTREE_EV * (e5 - e4) == pytest.approx(3.0307, abs=2e-4)
 
     def test_range_error(self):
         with pytest.raises(ValueError):
@@ -79,7 +79,7 @@ class TestBuildBasis:
         assert not any(o.occupied for o in b.orbitals)
 
     def test_occupied_electron_count(self, basis):
-        occupied = 2 * len(basis.occupied())
+        occupied = 2 * sum(o.occupied for o in basis.orbitals)
         expected = sum(b.electron_count for b in basis.bands)
         assert occupied == expected
 
@@ -107,11 +107,17 @@ class TestBuildBasis:
                        for e1, e2 in zip(energies, energies[1:]))
 
 
+def radial_profile(band, r):
+    """The band's shell profile alone: a one-shell RadialShellSet."""
+    shells = structure.RadialShellSet([band.shell_radius], [band.shell_width])
+    return shells.values(r)[0]
+
+
 class TestRadialProfile:
     def test_normalized(self):
         r, w = numerics.gauss_legendre(400, 0.0, 40.0)
         for band in structure.default_bands():
-            prof = structure.radial_profile(band, r)
+            prof = radial_profile(band, r)
             norm = float(np.sum(w * r * r * prof**2))
             assert norm == pytest.approx(1.0, abs=1e-9)
 
@@ -125,7 +131,7 @@ class TestRadialProfile:
                                     shell_radius=6.7, shell_width=0.2,
                                     electron_count=60)
         for band in (*structure.default_bands(), narrow):
-            prof = structure.radial_profile(band, r)
+            prof = radial_profile(band, r)
             peak = r[np.argmax(r * np.abs(prof))]
             shift = band.shell_width**2 / band.shell_radius
             if band.shell_width <= band.shell_radius / 10.0:
@@ -137,7 +143,7 @@ class TestRadialProfile:
         r, w = numerics.gauss_legendre(400, 0.0, 40.0)
         means = []
         for band in structure.default_bands()[1:]:
-            prof = structure.radial_profile(band, r)
+            prof = radial_profile(band, r)
             means.append(float(np.sum(w * r**3 * prof**2)))
         assert means[1] > means[0]
 
