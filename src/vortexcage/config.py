@@ -153,6 +153,13 @@ _INT_LISTS = {"scan": ("charges",), "model": ("l_max", "electrons")}
 _REAL_LISTS = {"scan": ("rho0_ratios",),
                "model": ("shell_radii_bohr", "shell_widths_bohr")}
 _BOOL_KEYS = {"pulse": ("legacy_normalization",), "output": ("long_format",)}
+# sign bounds, checked on the value or on every entry of a list
+_POSITIVE = {"model": ("cage_radius_bohr", "shell_widths_bohr", "eta_hartree"),
+             "pulse": ("omega_ev",),
+             "numerics": ("validity_threshold",),
+             "scan": ("plane_extent_bohr",)}
+_NON_NEGATIVE = {"model": ("shell_radii_bohr", "l_max", "electrons"),
+                 "numerics": ("r_cut_bohr", "angular_margin")}
 
 
 def _validate(cfg: dict) -> None:
@@ -171,20 +178,19 @@ def _validate(cfg: dict) -> None:
                 if not test(cfg[block][key]):
                     raise ConfigError(f"{block}.{key} must be {what}, "
                                       f"got {cfg[block][key]!r}")
+    for keys, ok, what in ((_POSITIVE, lambda v: v > 0, "positive"),
+                           (_NON_NEGATIVE, lambda v: v >= 0, "non-negative")):
+        for block, names in keys.items():
+            for key in names:
+                value = cfg[block][key]
+                if not all(map(ok, value if isinstance(value, list) else [value])):
+                    raise ConfigError(f"{block}.{key} must be {what}, "
+                                      f"got {value!r}")
     model = cfg["model"]
     for key in ("shell_radii_bohr", "shell_widths_bohr", "l_max", "electrons"):
         if len(model[key]) != 3:
             raise ConfigError(f"model.{key} must list three bands")
-    if not model["cage_radius_bohr"] > 0:
-        raise ConfigError("model.cage_radius_bohr must be positive")
-    if not all(w > 0 for w in model["shell_widths_bohr"]):
-        raise ConfigError("model.shell_widths_bohr must all be positive")
-    for key in ("l_max", "electrons"):
-        if any(v < 0 for v in model[key]):
-            raise ConfigError(f"model.{key} must not be negative")
     pulse = cfg["pulse"]
-    if not pulse["omega_ev"] > 0:
-        raise ConfigError("pulse.omega_ev must be positive")
     if (pulse["intensity_w_cm2"] is None) == (pulse["a0_au"] is None):
         raise ConfigError(
             "pulse: specify exactly one of intensity_w_cm2 and a0_au")

@@ -14,7 +14,6 @@ perturbative amplitudes in the weak-excitation regime.
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -24,17 +23,12 @@ from . import coupling, structure
 __all__ = [
     "ConvergenceError",
     "ExcitationState",
-    "PerturbationBreakdownWarning",
     "excite",
     "propagate_oracle",
     "spectral_factor",
 ]
 
 VALIDITY_THRESHOLD = 0.05
-
-
-class PerturbationBreakdownWarning(UserWarning):
-    pass
 
 
 class ConvergenceError(RuntimeError):
@@ -63,16 +57,14 @@ class ExcitationState:
     transitions: coupling.TransitionSet
     amplitudes: np.ndarray        # complex B[j, k]
     validity_metric: float        # max over sources of total excited population
-    validity_threshold: float
-    breakdown: bool
+    breakdown: bool               # validity_metric above the threshold
 
     def populations(self) -> np.ndarray:
         return np.abs(self.amplitudes) ** 2
 
 
 def excite(transitions: coupling.TransitionSet, basis: structure.Basis,
-           validity_threshold: float = VALIDITY_THRESHOLD,
-           warn: bool = True) -> ExcitationState:
+           validity_threshold: float = VALIDITY_THRESHOLD) -> ExcitationState:
     """TDPT amplitudes for every (source k, target j) pair in the set."""
     pulse = transitions.pulse
     eps_j = np.array([basis.orbitals[i].energy for i in transitions.unoccupied])
@@ -80,45 +72,37 @@ def excite(transitions: coupling.TransitionSet, basis: structure.Basis,
     g = spectral_factor(eps_j[:, None], eps_k[None, :], pulse.omega, pulse.delta)
     amps = 1j * g * transitions.matrix
     metric = float(np.max(np.sum(np.abs(amps) ** 2, axis=0)))
-    breakdown = metric > validity_threshold
-    if breakdown and warn:
-        warnings.warn(
-            f"excited population {metric:.3e} exceeds first-order validity "
-            f"threshold {validity_threshold}", PerturbationBreakdownWarning)
     return ExcitationState(transitions=transitions, amplitudes=amps,
                            validity_metric=metric,
-                           validity_threshold=validity_threshold,
-                           breakdown=breakdown)
+                           breakdown=metric > validity_threshold)
 
 
-def propagate_oracle(basis: structure.Basis, pulse, grid, dt: float,
-                     occupied=None):
-    """Directly integrated final coefficients, one occupied source at a time.
+def propagate_oracle(basis: structure.Basis, pulse, grid, dt: float):
+    """Directly integrated final coefficients of every transition source.
 
     The Hilbert space is spanned by the band-2 and band-3 orbitals
-    (``states``); the sources are ``occupied`` (default: every occupied
-    state).  The full real field enters as
+    (``states``); the sources are those of ``coupling.transition_orbitals``.
+    The full real field enters as
     H(t) = env(t) [O e^-iwt + O^dag e^+iwt] with O the positive-frequency
     operator matrix; integration is fixed-step RK4 in the interaction
-    picture over |t| <= 6 / sqrt(delta).  Returns (coefficients, states)
-    where coefficients[s, a] is the final amplitude of basis state a for
-    source s (interaction picture, so post-pulse values are
-    time-independent).
+    picture over |t| <= 6 / sqrt(delta), all sources at once as the columns
+    of one coefficient matrix.  Returns (coefficients, states) where
+    coefficients[a, s] is the final amplitude of basis state a for source s,
+    in ``TransitionSet.occupied`` order (interaction picture, so post-pulse
+    values are time-independent).
 
     Raises ValueError on carrier-unresolving steps (dt > 0.05 * 2pi/omega)
-    and ConvergenceError on norm drift beyond 1e-8.
+    and ConvergenceError when any column's norm drifts beyond 1e-8.
     """
     states = basis.band_orbitals(2) + basis.band_orbitals(3)
-    if occupied is None:
-        occupied = [o for o in states if o.occupied]
+    sources, _ = coupling.transition_orbitals(basis)
     if dt > 0.05 * 2.0 * math.pi / pulse.omega:
         raise ValueError(f"dt={dt} too coarse for carrier period "
                          f"{2 * math.pi / pulse.omega:.3f}")
     t1 = 6.0 / math.sqrt(pulse.delta)
     t0 = -t1
     op = coupling.interaction_matrix(pulse, basis, states, states, grid)
-    eps = np.array([o.energy for o in states])
-    pos = {o.index: a for a, o in enumerate(states)}
+    eps = np.array([o.energy for o in states])[:, None]
     omega = pulse.omega
     delta = pulse.delta
 
@@ -130,23 +114,21 @@ def propagate_oracle(basis: structure.Basis, pulse, grid, dt: float,
         return -1j * phase * (h @ (c / phase))
 
     n_steps = int(math.ceil((t1 - t0) / dt))
-    coeffs = np.zeros((len(occupied), len(states)), dtype=complex)
-    for s, source in enumerate(occupied):
-        c = np.zeros(len(states), dtype=complex)
-        c[pos[source.index]] = 1.0
-        t = t0
-        for _ in range(n_steps):
-            step = min(dt, t1 - t)
-            k1 = deriv(t, c)
-            k2 = deriv(t + 0.5 * step, c + 0.5 * step * k1)
-            k3 = deriv(t + 0.5 * step, c + 0.5 * step * k2)
-            k4 = deriv(t + step, c + step * k3)
-            c = c + (step / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-            t += step
-        drift = abs(float(np.sum(np.abs(c) ** 2)) - 1.0)
-        if drift > 1e-8:
-            raise ConvergenceError(f"norm drift {drift:.3e} exceeds 1e-08; "
-                                   f"reduce dt")
-        coeffs[s] = c
-    return coeffs, states
-
+    # basis indices ascend along states, so the unit columns of the sources
+    # come out in source order
+    c = np.eye(len(states), dtype=complex)[:, np.isin(
+        [o.index for o in states], [o.index for o in sources])]
+    t = t0
+    for _ in range(n_steps):
+        step = min(dt, t1 - t)
+        k1 = deriv(t, c)
+        k2 = deriv(t + 0.5 * step, c + 0.5 * step * k1)
+        k3 = deriv(t + 0.5 * step, c + 0.5 * step * k2)
+        k4 = deriv(t + step, c + step * k3)
+        c = c + (step / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        t += step
+    drift = float(np.max(np.abs(np.sum(np.abs(c) ** 2, axis=0) - 1.0)))
+    if drift > 1e-8:
+        raise ConvergenceError(f"norm drift {drift:.3e} exceeds 1e-08; "
+                               f"reduce dt")
+    return c, states

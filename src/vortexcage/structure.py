@@ -52,9 +52,6 @@ class BandSpec:
     shell_radius: float         # bohr
     shell_width: float          # bohr
     electron_count: int
-    # m values occupied in the topmost partially filled shell (spherical
-    # mode); None selects the lowest-|m| set.
-    partial_shell_m: tuple[int, ...] | None = None
 
 
 def default_bands() -> tuple[BandSpec, ...]:
@@ -220,8 +217,8 @@ def build_basis(bands: tuple[BandSpec, ...] | None = None,
 
 def _apply_occupation(band, band_orbs, n_fill, table_shells):
     # fill whole shells lowest-l first; a partially filled shell takes the
-    # lowest-|m| substates (spherical), the first table rows (when the table
-    # covers that l), or an explicit per-band m selection.
+    # lowest-|m| substates (spherical) or the first table rows (when the
+    # table covers that l).
     filled = []
     remaining = n_fill
     for l in range(band.l_max + 1):
@@ -230,14 +227,7 @@ def _apply_occupation(band, band_orbs, n_fill, table_shells):
             filled += [replace(o, occupied=True) for o in shell]
             remaining -= len(shell)
         elif remaining > 0:
-            if band.partial_shell_m is not None and l not in table_shells:
-                if len(band.partial_shell_m) != remaining:
-                    raise ValueError(
-                        f"band {band.n}: partial_shell_m selects "
-                        f"{len(band.partial_shell_m)} substates, need {remaining}")
-                chosen = set(band.partial_shell_m)
-                filled += [replace(o, occupied=(o.lam in chosen)) for o in shell]
-            elif l in table_shells:
+            if l in table_shells:
                 filled += [replace(o, occupied=(k < remaining))
                            for k, o in enumerate(shell)]
             else:

@@ -36,4 +36,4 @@ def ts_m1(basis, grid, pulse_m1):
 
 @pytest.fixture(scope="session")
 def exc_m1(basis, ts_m1):
-    return dynamics.excite(ts_m1, basis, warn=False)
+    return dynamics.excite(ts_m1, basis)

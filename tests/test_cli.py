@@ -250,6 +250,15 @@ class TestExitCodes:
         ("model.l_max=[9, 5, -1]", "spectrum"),
         ("pulse.legacy_normalization=abc", "spectrum"),
         ("output.long_format=0", "spectrum"),
+        ("model.shell_radii_bohr=[6.7, -1, 6.7]", "spectrum"),
+        ("numerics.r_cut_bohr=-1", "spectrum"),
+        ("numerics.validity_threshold=0", "spectrum"),
+        ("numerics.validity_threshold=-1", "spectrum"),
+        ("scan.plane_extent_bohr=0", "planes"),
+        ("scan.plane_extent_bohr=-5", "planes"),
+        ("model.eta_hartree=0", "spectrum"),
+        ("model.eta_hartree=-1", "spectrum"),
+        ("numerics.angular_margin=-1", "spectrum"),
         # braces doubled: the overrides go through str.format
         ("scan.omega_ev={{start: -1.0, stop: 0.0, step: 0.5}}", "spectrum"),
     ])

@@ -15,7 +15,7 @@ from conftest import make_pulse
 def run_excitation(basis, grid, m_oam, omega_ev=8.0, a0=0.05, rho0=0.0):
     ts = coupling.build_transition_set(
         basis, make_pulse(m_oam, omega_ev=omega_ev, a0=a0, rho0=rho0), grid)
-    return dynamics.excite(ts, basis, warn=False)
+    return dynamics.excite(ts, basis)
 
 
 def flux_through_sphere(exc, basis, radius, angular_order=26):
@@ -48,7 +48,7 @@ class TestDcCurrent:
         exc = dynamics.ExcitationState(
             transitions=ts,
             amplitudes=np.array([[b_amp]]), validity_metric=abs(b_amp) ** 2,
-            validity_threshold=1.0, breakdown=False)
+            breakdown=False)
         rng = np.random.default_rng(13)
         sec = math.sqrt(7.0 / (4 * math.pi) * (1.0 / 2) * (3.0 / 4) * (5.0 / 6))
         for _ in range(12):
@@ -132,7 +132,7 @@ class TestResonancePositions:
         def moment_at(ts, w):
             shifted = dataclasses.replace(ts, pulse=dataclasses.replace(
                 ts.pulse, omega=ev_to_hartree(w)))
-            exc = dynamics.excite(shifted, basis, warn=False)
+            exc = dynamics.excite(shifted, basis)
             field = observables.sample_current(exc, basis, grid)
             return abs(observables.magnetic_moment(field)[2])
 
@@ -320,7 +320,7 @@ def kernel_for(basis, grid, ts, charge_convention="electron"):
 def at_omega(ts, omega_ev, basis):
     shifted = dataclasses.replace(ts, pulse=dataclasses.replace(
         ts.pulse, omega=ev_to_hartree(omega_ev)))
-    return dynamics.excite(shifted, basis, warn=False)
+    return dynamics.excite(shifted, basis)
 
 
 def compare_kernel_to_sampled(kernel, exc, basis, grid,
@@ -419,8 +419,7 @@ class TestScanKernel:
         shape = ts.matrix.shape
         amps = (rng.normal(size=shape) + 1j * rng.normal(size=shape)) \
             * 10.0 ** exponent * (rng.uniform(size=shape) < density)
-        exc = dataclasses.replace(dynamics.excite(ts, symmetry_basis,
-                                                  warn=False),
+        exc = dataclasses.replace(dynamics.excite(ts, symmetry_basis),
                                   amplitudes=amps)
         compare_kernel_to_sampled(kernel, exc, symmetry_basis, grid)
 

@@ -58,17 +58,6 @@ class TestBuildBasis:
                       if o.l == 5 and o.occupied)
         assert occ5 == [-2, -1, 0, 1, 2]
 
-    def test_partial_shell_override(self):
-        bands = list(structure.default_bands())
-        bands[1] = structure.BandSpec(
-            n=2, energy_offset=-0.30, l_max=5, shell_radius=6.7,
-            shell_width=0.9, electron_count=60,
-            partial_shell_m=(-5, -3, 0, 3, 5))
-        b = structure.build_basis(tuple(bands))
-        occ5 = sorted(o.lam for o in b.band_orbitals(2)
-                      if o.l == 5 and o.occupied)
-        assert occ5 == [-5, -3, 0, 3, 5]
-
     def test_zero_electron_config(self):
         bands = tuple(
             structure.BandSpec(n=b.n, energy_offset=b.energy_offset,
