@@ -7,8 +7,8 @@ Subcommands
     planes        current-density lattice dumps (xy and xz)
     check         invariant suite; nonzero exit on failure
 
-Exit codes: 0 success, 1 configuration error, 2 check failure,
-3 numerical convergence failure.
+Exit codes: 0 success, 1 configuration error (a bad config value or
+command line), 2 check failure, 3 numerical convergence failure.
 """
 
 from __future__ import annotations
@@ -94,8 +94,8 @@ def _evaluate_point(run: RunConfig, kernel: observables.ScanKernel, ts,
     kernel of the set's targets.
 
     The transition matrix has no frequency content (spatial operator only),
-    so a cached set is reused across an omega scan with just the pulse
-    carrier swapped.
+    so a family's set, built once from the grid's tables, is reused across
+    its photon energies with just the pulse carrier swapped.
     """
     shifted = dataclasses.replace(ts.pulse, omega=ev_to_hartree(omega_ev))
     ts_at_omega = dataclasses.replace(ts, pulse=shifted)
@@ -152,18 +152,20 @@ def _scan(run: RunConfig, out_dir: Path, threads: int, command: str, grid,
           families) -> ScanResult:
     """Scan ``(pulse, photon energies in eV, record metadata)`` families.
 
-    One transition set per family and one ``observables.scan_kernel`` per
-    distinct target set on the grid, then one record per (family, energy),
-    written to ``<command>.csv`` and, if configured, ``<command>_long.csv``.
+    The orbitals are tabulated once for the grid
+    (``coupling.transition_tables``).  Each family's transition set is then
+    two matrix products against those tables, and the one
+    ``observables.scan_kernel`` reads its target orbitals from them.  One
+    record per (family, energy) goes to ``<command>.csv`` and, if
+    configured, ``<command>_long.csv``.
     """
     _write_metadata(run, out_dir, command)
+    tables = coupling.transition_tables(run.basis, grid)
     sets = _map(lambda family: coupling.build_transition_set(
-        run.basis, family[0], grid), families, threads)
-    kernels = {targets: observables.scan_kernel(
-        run.basis, [run.basis.orbitals[i] for i in targets], grid, run.eta,
-        run.charge_convention, run.r_cut)
-        for targets in dict.fromkeys(ts.unoccupied for ts in sets)}
-    points = [(kernels[ts.unoccupied], ts, omega_ev, meta)
+        tables, family[0]), families, threads)
+    kernel = observables.scan_kernel(tables, run.eta, run.charge_convention,
+                                     run.r_cut)
+    points = [(kernel, ts, omega_ev, meta)
               for ts, (_, omegas, meta) in zip(sets, families)
               for omega_ev in omegas]
     result = ScanResult([_evaluate_point(run, *point) for point in points])
@@ -238,7 +240,8 @@ def cmd_planes(run: RunConfig, out_dir: Path, threads: int) -> list[Path]:
     _write_metadata(run, out_dir, "planes")
     grid = run.make_grid()
     pulse = run.make_pulse()
-    ts = coupling.build_transition_set(run.basis, pulse, grid)
+    ts = coupling.build_transition_set(
+        coupling.transition_tables(run.basis, grid), pulse)
     exc = dynamics.excite(ts, run.basis, run.validity_threshold)
     extent = run.raw["scan"]["plane_extent_bohr"]
     resolution = run.raw["scan"]["plane_resolution"]
@@ -298,7 +301,8 @@ def _run_checks(run: RunConfig):
     yield ("ball-volume", dev < 1e-10, f"rel dev {dev:.2e}", "check")
 
     orbs = list(basis.orbitals)
-    psi, _ = structure.orbital_tables(basis, orbs, grid)
+    # this generator's locals live until check ends: keep no gradients
+    psi = structure.orbital_tables(basis, orbs, grid)[0]
     gram = (psi.conj() * grid.weights) @ psi.T
     dev = float(np.abs(gram - np.eye(len(orbs))).max())
     yield ("basis-gram-identity", dev < 1e-8, f"max dev {dev:.2e}", "check")
@@ -347,13 +351,15 @@ def _run_checks(run: RunConfig):
            ok, f"eta {run.eta:.2e} vs min level gap {min_gap:.2e}", "check")
 
     pulse = run.make_pulse(rho0=0.0)
-    ts = coupling.build_transition_set(basis, pulse, grid)
+    tables = coupling.transition_tables(basis, grid)
+    ts = coupling.build_transition_set(tables, pulse)
     # a vanishing response (high charges) has a roundoff-level max|M|, so
     # the selection and convergence checks also scale by the centred
     # m = +1 set at the same A0 (|M| is the same for m = -1), and the
     # current-purity check skips a set below it
     floor = (ts if abs(pulse.m_oam) == 1 else coupling.build_transition_set(
-        basis, run.make_pulse(m_oam=1, rho0=0.0), grid)).max_abs()
+        tables, run.make_pulse(m_oam=1, rho0=0.0))).max_abs()
+    del tables      # nor the tables: later checks tabulate their own
     mmax = max(ts.max_abs(), floor, 1e-300)
     bad_az = bad_par = 0.0
     for jr, j_idx in enumerate(ts.unoccupied):
@@ -433,7 +439,8 @@ def _oracle_check(run: RunConfig):
     omega = bands[2].energy_offset - bands[1].energy_offset
     pulse = beam.VortexPulse(a0=0.003, m_oam=1, omega=omega, delta=run.delta,
                              waist=run.waist)
-    ts = coupling.build_transition_set(basis, pulse, grid)
+    ts = coupling.build_transition_set(
+        coupling.transition_tables(basis, grid), pulse)
     pops = dynamics.excite(ts, basis).populations()
     dt = 0.04 * 2 * math.pi / omega
     coeffs, states = dynamics.propagate_oracle(basis, pulse, grid, dt=dt)
@@ -472,8 +479,15 @@ def cmd_check(run: RunConfig, out_dir: Path, threads: int) -> int:
 # entry point
 # ---------------------------------------------------------------------------
 
+class _Parser(argparse.ArgumentParser):
+    """Usage errors are configuration errors (exit 1), not argparse's 2."""
+
+    def error(self, message):
+        raise ConfigError(message)
+
+
 def _parser() -> argparse.ArgumentParser:
-    ap = argparse.ArgumentParser(
+    ap = _Parser(
         prog="vortexcage",
         description="Vortex-pulse-driven loop currents and optomagnetism "
                     "in a spherical-shell molecule model")
@@ -491,8 +505,11 @@ def _parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = _parser().parse_args(argv)
     try:
+        args = _parser().parse_args(argv)
+        if args.threads < 1:
+            raise ConfigError(f"--threads must be at least 1, "
+                              f"got {args.threads}")
         cfg = load_config(args.config, args.override)
         run = RunConfig.resolve(cfg)
     except ConfigError as exc:

@@ -9,6 +9,13 @@ covering both the transversal A.grad and longitudinal (div A) pieces of the
 symmetrized momentum coupling.  Any object exposing
 ``spatial_amplitude(points) -> (A_x, dA_x/dx)`` works as the field; the
 vector potential points along x throughout.
+
+The orbitals do not depend on the pulse, so ``transition_tables`` tabulates
+them once per grid: the weighted target bras conj(psi_j) w and the source
+values psi_k and x-derivatives d_x psi_k.  A pulse then costs one
+``spatial_amplitude`` call and two matrix products,
+
+    M = (bra * -(i/2) dA_x/dx) @ psi^T + (bra * -i A_x) @ (d_x psi)^T.
 """
 
 from __future__ import annotations
@@ -22,10 +29,11 @@ from .numerics import QuadratureGrid
 
 __all__ = [
     "TransitionSet",
-    "apply_interaction",
+    "TransitionTables",
     "build_transition_set",
     "interaction_matrix",
     "transition_orbitals",
+    "transition_tables",
 ]
 
 PRUNE_RELATIVE = 1e-14
@@ -45,24 +53,44 @@ class TransitionSet:
         return float(np.max(np.abs(self.matrix))) if self.matrix.size else 0.0
 
 
-def apply_interaction(field, orbitals, basis: structure.Basis, points):
-    """Interaction operator applied to orbitals, sampled at points.
+@dataclass(frozen=True, eq=False)
+class TransitionTables:
+    """Pulse-independent orbital tables of every transition on one grid.
 
-    ``points`` is a QuadratureGrid or an (n, 3) array.  Returns (n_orb,
-    n_pts) complex values of -(i/2)(dA_x/dx) psi - i A_x dpsi/dx.
+    Targets keep their full tables, which ``observables.scan_kernel`` reads;
+    sources keep only what the operator acts on.
     """
-    orbitals = orbitals if isinstance(orbitals, (list, tuple)) else [orbitals]
-    a_x, div = field.spatial_amplitude(np.atleast_2d(np.asarray(points, dtype=float)))
-    psi, grad = structure.orbital_tables(basis, orbitals, points)
-    return -0.5j * div * psi - 1j * a_x * grad[:, :, 0]
+
+    grid: QuadratureGrid
+    targets: tuple[structure.Orbital, ...]   # unoccupied band 3 (rows)
+    sources: tuple[structure.Orbital, ...]   # occupied band 2 (columns)
+    target_psi: np.ndarray        # (n_targets, n_pts)
+    target_grad: np.ndarray       # (n_targets, n_pts, 3)
+    bra: np.ndarray               # conj(target_psi) * grid weights
+    source_psi: np.ndarray        # (n_sources, n_pts)
+    source_dx: np.ndarray         # (n_sources, n_pts), d/dx of source_psi
+
+
+def _operand_tables(basis, orbitals, grid):
+    """Values and x-derivatives of the orbitals the operator acts on; the
+    rest of the gradient is dropped on return."""
+    psi, grad = structure.orbital_tables(basis, orbitals, grid)
+    return psi, grad[:, :, 0].copy()
+
+
+def _contract(field, bra, psi, dx, points) -> np.ndarray:
+    """<bra_j | H | psi_k> from weighted bras and operand tables."""
+    a_x, div = field.spatial_amplitude(points)
+    return (bra * (-0.5j * div)) @ psi.T + (bra * (-1j * a_x)) @ dx.T
 
 
 def interaction_matrix(field, basis: structure.Basis, row_orbitals,
                        col_orbitals, grid: QuadratureGrid) -> np.ndarray:
     """Quadrature matrix <row_j | H | col_k>, shape (n_rows, n_cols)."""
-    applied = apply_interaction(field, list(col_orbitals), basis, grid)
+    psi, dx = _operand_tables(basis, col_orbitals, grid)
     psi_rows, _ = structure.orbital_tables(basis, row_orbitals, grid)
-    return np.einsum("jn,n,kn->jk", psi_rows.conj(), grid.weights, applied)
+    return _contract(field, psi_rows.conj() * grid.weights, psi, dx,
+                     grid.points)
 
 
 def transition_orbitals(basis: structure.Basis):
@@ -76,16 +104,27 @@ def transition_orbitals(basis: structure.Basis):
     return occupied, unoccupied
 
 
-def build_transition_set(basis: structure.Basis, pulse, grid: QuadratureGrid,
+def transition_tables(basis: structure.Basis,
+                      grid: QuadratureGrid) -> TransitionTables:
+    """``TransitionTables`` of the ``transition_orbitals`` on the grid."""
+    sources, targets = transition_orbitals(basis)
+    source_psi, source_dx = _operand_tables(basis, sources, grid)
+    psi, grad = structure.orbital_tables(basis, targets, grid)
+    return TransitionTables(
+        grid=grid, targets=tuple(targets), sources=tuple(sources),
+        target_psi=psi, target_grad=grad, bra=psi.conj() * grid.weights,
+        source_psi=source_psi, source_dx=source_dx)
+
+
+def build_transition_set(tables: TransitionTables, pulse,
                          prune: bool = True) -> TransitionSet:
     """All (occupied band-2) x (unoccupied band-3) elements.
 
-    Rows follow the targets, columns the sources of
-    ``transition_orbitals``.  Entries below 1e-14 * max|M| are zeroed and
-    recorded in ``pruned``.
+    Rows follow the targets, columns the sources of the tables.  Entries
+    below 1e-14 * max|M| are zeroed and recorded in ``pruned``.
     """
-    occupied, unoccupied = transition_orbitals(basis)
-    mat = interaction_matrix(pulse, basis, unoccupied, occupied, grid)
+    mat = _contract(pulse, tables.bra, tables.source_psi, tables.source_dx,
+                    tables.grid.points)
     pruned = ()
     if prune:
         scale = float(np.max(np.abs(mat))) if mat.size else 0.0
@@ -94,6 +133,6 @@ def build_transition_set(basis: structure.Basis, pulse, grid: QuadratureGrid,
             pruned = tuple((int(j), int(k)) for j, k in zip(*np.nonzero(mask)))
             mat = np.where(mask, 0.0, mat)
     return TransitionSet(
-        occupied=tuple(o.index for o in occupied),
-        unoccupied=tuple(o.index for o in unoccupied),
+        occupied=tuple(o.index for o in tables.sources),
+        unoccupied=tuple(o.index for o in tables.targets),
         matrix=mat, pulse=pulse, pruned=pruned)

@@ -176,17 +176,18 @@ class ScanKernel:
         return mag, norms
 
 
-def scan_kernel(basis, targets, grid, eta: float = DEFAULT_ETA,
+def scan_kernel(tables, eta: float = DEFAULT_ETA,
                 charge_convention: str = "electron",
                 r_cut: float = DEFAULT_R_CUT) -> ScanKernel:
-    """``ScanKernel`` of the target orbitals on an integration grid.
+    """``ScanKernel`` of the targets of ``coupling.TransitionTables``.
 
-    The orbitals are tabulated once; every scan point that excites these
-    targets on this grid then reuses the integrals.
+    It reads the target orbitals already tabulated on the tables' grid;
+    every scan point that excites these targets on this grid then reuses
+    the integrals.
     """
-    targets = list(targets)
+    targets, grid = tables.targets, tables.grid
+    psi, grad = tables.target_psi, tables.target_grad
     sign = _charge_sign(charge_convention)
-    psi, grad = structure.orbital_tables(basis, targets, grid)
     rows = [(l, lp, imag_c) for block in _coherence_blocks(targets, eta)
             for l in block for lp in block
             for imag_c in ((False,) if l == lp else (False, True))]

@@ -4,7 +4,7 @@ import filecmp
 import pytest
 import yaml
 
-from vortexcage import cli, config, dynamics
+from vortexcage import cli, config, dynamics, numerics, structure
 from vortexcage.units import nm_to_bohr
 
 
@@ -170,6 +170,34 @@ class TestChargeSweepCommand:
         assert "peak-field charge" not in summary
 
 
+class TestScanTabulation:
+    @pytest.mark.parametrize("command, many, one", [
+        ("charge-sweep", "scan.charges=[0, 1, 2, 3]", "scan.charges=[1]"),
+        ("heatmap", "scan.rho0_ratios=[0.5, 1.0]", "scan.rho0_ratios=[0.5]"),
+    ])
+    def test_orbitals_tabulated_once_per_grid(self, tmp_path, monkeypatch,
+                                              command, many, one):
+        # the orbitals do not depend on the pulse: more families must not
+        # mean more tabulations
+        calls = []
+        tabulate = structure.orbital_tables
+
+        def spy(basis, orbitals, points):
+            calls.append(isinstance(points, numerics.QuadratureGrid))
+            return tabulate(basis, orbitals, points)
+
+        monkeypatch.setattr(structure, "orbital_tables", spy)
+        counts = []
+        for i, override in enumerate((many, one)):
+            calls.clear()
+            assert cli.main(["--out", str(tmp_path / str(i)),
+                             "--override", override, "--override", FAST_SCAN,
+                             command]) == 0
+            assert all(calls)                   # product grid only
+            counts.append(len(calls))
+        assert counts[0] == counts[1] <= 2
+
+
 class TestPlanesCommand:
     def test_plane_files(self, tmp_path):
         rc = cli.main(["--out", str(tmp_path),
@@ -268,6 +296,20 @@ class TestExitCodes:
         out = tmp_path / "out"
         assert cli.main(["--out", str(out), "--override", override,
                          command]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("configuration error: ")
+        assert err.count("\n") == 1
+        assert not out.exists()
+
+    @pytest.mark.parametrize("argv", [
+        ["bogus"],
+        ["--threads", "abc", "spectrum"],
+        ["--threads", "0", "spectrum"],
+        ["--threads", "-3", "spectrum"],
+    ])
+    def test_bad_command_line(self, tmp_path, capsys, argv):
+        out = tmp_path / "out"
+        assert cli.main(["--out", str(out)] + argv) == 1
         err = capsys.readouterr().err
         assert err.startswith("configuration error: ")
         assert err.count("\n") == 1

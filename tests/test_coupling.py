@@ -6,7 +6,7 @@ import pytest
 
 from vortexcage import beam, coupling, structure
 
-from conftest import make_pulse
+from conftest import WAIST, make_pulse
 
 
 class UniformField:
@@ -21,13 +21,21 @@ class UniformField:
                 np.zeros(n, dtype=complex))
 
 
+def apply_operator(field, orbitals, basis, points):
+    """-(i/2)(dA_x/dx) psi - i A_x dpsi/dx of each orbital, assembled
+    pointwise at a grid's or an (n, 3) array's points: (n_orb, n_pts)."""
+    a_x, div = field.spatial_amplitude(np.asarray(points, dtype=float))
+    psi, grad = structure.orbital_tables(basis, orbitals, points)
+    return -0.5j * div * psi - 1j * a_x * grad[:, :, 0]
+
+
 class TestApplyInteraction:
     def test_constant_field_reduces_to_gradient_term(self, basis):
         # zero divergence: H psi = -i a dpsi/dx exactly
         field = UniformField(0.8)
         orb = next(o for o in basis.band_orbitals(2) if o.l == 1)
         pts = np.array([[1.0, 2.0, -0.5], [4.0, -3.0, 2.0]])
-        got = coupling.apply_interaction(field, orb, basis, pts)[0]
+        got = apply_operator(field, [orb], basis, pts)[0]
         _, grad = structure.orbital_tables(basis, [orb], pts)
         expected = -1j * 0.8 * grad[0, :, 0]
         assert np.abs(got - expected).max() == 0.0
@@ -41,8 +49,7 @@ class TestApplyInteraction:
         for _ in range(50):
             pt = rng.uniform(-1, 1, 3)
             pt *= rng.uniform(3.0, 10.0) / np.linalg.norm(pt)
-            got = coupling.apply_interaction(pulse_m1, orb, basis,
-                                             pt[None, :])[0, 0]
+            got = apply_operator(pulse_m1, [orb], basis, pt[None, :])[0, 0]
 
             def a_psi(x):
                 a = pulse_m1.spatial_amplitude(x[None, :])[0][0]
@@ -69,7 +76,7 @@ class TestApplyInteraction:
         r, z = 5.0, 2.0
         pts = np.stack([r * np.cos(phi), r * np.sin(phi),
                         np.full(nphi, z)], axis=1)
-        vals = coupling.apply_interaction(pulse, orb, basis, pts)[0]
+        vals = apply_operator(pulse, [orb], basis, pts)[0]
         comps = np.fft.fft(vals) / nphi
         mags = np.abs(comps)
         keep = {0, 2}
@@ -79,9 +86,9 @@ class TestApplyInteraction:
 
 
 class TestMatrixElement:
-    def test_gaussian_beam_dipole_selection(self, basis, grid):
+    def test_gaussian_beam_dipole_selection(self, basis, tables):
         pulse = make_pulse(0)
-        ts = coupling.build_transition_set(basis, pulse, grid, prune=False)
+        ts = coupling.build_transition_set(tables, pulse, prune=False)
         mmax = ts.max_abs()
         for jr, j in enumerate(ts.unoccupied):
             for kc, k in enumerate(ts.occupied):
@@ -89,9 +96,9 @@ class TestMatrixElement:
                 if dm not in (-1, 1):
                     assert abs(ts.matrix[jr, kc]) < 1e-12 * mmax
 
-    def test_vortex_m2_selection(self, basis, grid):
+    def test_vortex_m2_selection(self, basis, tables):
         pulse = make_pulse(2)
-        ts = coupling.build_transition_set(basis, pulse, grid, prune=False)
+        ts = coupling.build_transition_set(tables, pulse, prune=False)
         mmax = ts.max_abs()
         for jr, j in enumerate(ts.unoccupied):
             for kc, k in enumerate(ts.occupied):
@@ -99,10 +106,10 @@ class TestMatrixElement:
                 if dm not in (1, 3):
                     assert abs(ts.matrix[jr, kc]) < 1e-12 * mmax
 
-    def test_parity_selection(self, basis, grid):
+    def test_parity_selection(self, basis, tables):
         for m_oam in (1, 2):
             pulse = make_pulse(m_oam)
-            ts = coupling.build_transition_set(basis, pulse, grid, prune=False)
+            ts = coupling.build_transition_set(tables, pulse, prune=False)
             mmax = ts.max_abs()
             for jr, j in enumerate(ts.unoccupied):
                 for kc, k in enumerate(ts.occupied):
@@ -110,11 +117,11 @@ class TestMatrixElement:
                     if (ok.l + oj.l + abs(m_oam) + 1) % 2 == 1:
                         assert abs(ts.matrix[jr, kc]) < 1e-10 * mmax
 
-    def test_offset_beam_dipole_dominance(self, basis, grid):
+    def test_offset_beam_dipole_dominance(self, basis, tables):
         # at rho0 = rho_max the molecule sees a locally plane wave, so
         # |delta l| = 1 entries dominate all others by >= 10x
         pulse = make_pulse(1, rho0=beam.rho_max(1, make_pulse(1).waist))
-        ts = coupling.build_transition_set(basis, pulse, grid, prune=False)
+        ts = coupling.build_transition_set(tables, pulse, prune=False)
         dip, rest = 0.0, 0.0
         for jr, j in enumerate(ts.unoccupied):
             for kc, k in enumerate(ts.occupied):
@@ -132,21 +139,20 @@ class TestTransitionSet:
         assert len(ts_m1.occupied) == 30
         assert len(ts_m1.unoccupied) == 16
 
-    def test_zero_amplitude(self, basis, grid):
+    def test_zero_amplitude(self, tables):
         pulse = make_pulse(1, a0=0.0)
-        ts = coupling.build_transition_set(basis, pulse, grid)
+        ts = coupling.build_transition_set(tables, pulse)
         assert not np.any(ts.matrix)
 
-    def test_linearity_in_a0(self, basis, grid):
-        t1 = coupling.build_transition_set(basis, make_pulse(2, a0=0.03),
-                                           grid, prune=False)
-        t2 = coupling.build_transition_set(basis, make_pulse(2, a0=0.06),
-                                           grid, prune=False)
+    def test_linearity_in_a0(self, tables):
+        t1 = coupling.build_transition_set(tables, make_pulse(2, a0=0.03),
+                                           prune=False)
+        t2 = coupling.build_transition_set(tables, make_pulse(2, a0=0.06),
+                                           prune=False)
         assert np.abs(t2.matrix - 2.0 * t1.matrix).max() == 0.0
 
-    def test_pruning_bookkeeping(self, basis, grid):
-        ts = coupling.build_transition_set(basis, make_pulse(1), grid,
-                                           prune=True)
+    def test_pruning_bookkeeping(self, tables):
+        ts = coupling.build_transition_set(tables, make_pulse(1), prune=True)
         scale = ts.max_abs()
         for jr, kc in ts.pruned:
             assert ts.matrix[jr, kc] == 0.0
@@ -167,7 +173,7 @@ class TestTransitionSet:
         bands[1] = dataclasses.replace(bands[1], electron_count=0)
         empty = structure.build_basis(tuple(bands))
         with pytest.raises(ValueError):
-            coupling.build_transition_set(empty, make_pulse(1), grid)
+            coupling.transition_tables(empty, grid)
 
     def test_translation_consistency(self, basis, grid, pulse_m1):
         # substituting u = r - rho0: a beam offset by +rho0 integrated in
@@ -216,3 +222,42 @@ class TestTransitionSet:
             for kc, ok in enumerate(occ):
                 expect = plain[jr, kc] * np.exp(1j * (oj.lam - ok.lam) * alpha)
                 assert abs(rot[jr, kc] - expect) < 1e-12 * np.abs(plain).max()
+
+
+class TestTransitionTables:
+    def test_matches_pointwise_operator(self, basis, grid, tables):
+        # the matmul contraction against the quadrature sum of the
+        # pointwise operator, at each live set's own scale; m >= 9 lies
+        # above the selection-rule ceiling (m = 8), so those sets are
+        # roundoff and are held to the m = +1 scale
+        sources, targets = coupling.transition_orbitals(basis)
+        bra = structure.orbital_tables(basis, targets, grid)[0].conj()
+
+        def deviation(pulse):
+            got = coupling.build_transition_set(tables, pulse,
+                                                prune=False).matrix
+            ref = np.einsum("jn,n,kn->jk", bra, grid.weights,
+                            apply_operator(pulse, sources, basis, grid))
+            return np.abs(got - ref).max(), np.abs(ref).max()
+
+        live = [make_pulse(m) for m in range(9)]
+        live.append(make_pulse(1, rho0=beam.rho_max(1, WAIST)))
+        for pulse in live:
+            dev, scale = deviation(pulse)
+            assert scale > 0.0
+            assert dev <= 1e-13 * scale
+        floor = deviation(make_pulse(1))[1]
+        for m in range(9, 13):
+            dev, scale = deviation(make_pulse(m))
+            assert scale < 1e-20 * floor
+            assert dev <= 1e-13 * floor
+
+    def test_reused_tables_match_fresh(self, basis, grid, tables):
+        for pulse in (make_pulse(1), make_pulse(3, rho0=40.0)):
+            shared = coupling.build_transition_set(tables, pulse)
+            fresh = coupling.build_transition_set(
+                coupling.transition_tables(basis, grid), pulse)
+            assert np.array_equal(shared.matrix, fresh.matrix)
+            assert shared.pruned == fresh.pruned
+            assert (shared.occupied, shared.unoccupied) == \
+                (fresh.occupied, fresh.unoccupied)
