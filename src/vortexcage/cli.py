@@ -300,11 +300,8 @@ def _run_checks(run: RunConfig):
     dev = abs(vol / exact - 1)
     yield ("ball-volume", dev < 1e-10, f"rel dev {dev:.2e}", "check")
 
-    orbs = list(basis.orbitals)
-    # this generator's locals live until check ends: keep no gradients
-    psi = structure.orbital_tables(basis, orbs, grid)[0]
-    gram = (psi.conj() * grid.weights) @ psi.T
-    dev = float(np.abs(gram - np.eye(len(orbs))).max())
+    gram = structure.product_grid_gram(basis, basis.orbitals, grid)
+    dev = float(np.abs(gram - np.eye(len(gram))).max())
     yield ("basis-gram-identity", dev < 1e-8, f"max dev {dev:.2e}", "check")
 
     rng = np.random.default_rng(20240811)

@@ -246,8 +246,9 @@ class RunConfig:
     @classmethod
     def resolve(cls, cfg: dict) -> "RunConfig":
         """Unit-converted setup.  Values that the symmetry-table loader or
-        the basis, pulse, grid and plane-lattice constructors refuse, and a
-        basis with no transitions, raise ConfigError here, before any
+        the basis, pulse, grid and plane-lattice constructors refuse, a
+        basis with no transitions, and a grid that cuts off more than 1e-8
+        of a band's squared norm raise ConfigError here, before any
         command starts."""
         try:
             run = cls._convert(cfg)
@@ -255,6 +256,14 @@ class RunConfig:
             for m in [run.m_oam, *cfg["scan"]["charges"]]:
                 run.make_pulse(m_oam=m)
             check_grid_args(*run._grid_args())
+            tail = run.basis.shells.tail_norms(run.r_max)
+            worst = int(tail.argmax())
+            if tail[worst] > 1e-8:      # check's basis-gram-identity tolerance
+                raise ValueError(
+                    f"numerics.r_max_factor: the grid ends at r_max = "
+                    f"{run.r_max:.4g} bohr, beyond which band "
+                    f"{run.basis.bands[worst].n} keeps {tail[worst]:.2e} of "
+                    f"its squared norm (limit 1e-08)")
             plane_lattice("xy", cfg["scan"]["plane_extent_bohr"],
                           cfg["scan"]["plane_resolution"])
         except (OSError, ValueError) as exc:

@@ -86,9 +86,13 @@ def _contract(field, bra, psi, dx, points) -> np.ndarray:
 
 def interaction_matrix(field, basis: structure.Basis, row_orbitals,
                        col_orbitals, grid: QuadratureGrid) -> np.ndarray:
-    """Quadrature matrix <row_j | H | col_k>, shape (n_rows, n_cols)."""
+    """Quadrature matrix <row_j | H | col_k>, shape (n_rows, n_cols).
+
+    Passing one list object as both rows and columns tabulates it once.
+    """
     psi, dx = _operand_tables(basis, col_orbitals, grid)
-    psi_rows, _ = structure.orbital_tables(basis, row_orbitals, grid)
+    psi_rows = (psi if row_orbitals is col_orbitals
+                else structure.orbital_tables(basis, row_orbitals, grid)[0])
     return _contract(field, psi_rows.conj() * grid.weights, psi, dx,
                      grid.points)
 

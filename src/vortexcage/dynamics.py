@@ -102,6 +102,7 @@ def propagate_oracle(basis: structure.Basis, pulse, grid, dt: float):
     t1 = 6.0 / math.sqrt(pulse.delta)
     t0 = -t1
     op = coupling.interaction_matrix(pulse, basis, states, states, grid)
+    adj = op.conj().T
     eps = np.array([o.energy for o in states])[:, None]
     omega = pulse.omega
     delta = pulse.delta
@@ -109,7 +110,7 @@ def propagate_oracle(basis: structure.Basis, pulse, grid, dt: float):
     def deriv(t, c):
         env = math.exp(-delta * t * t)
         phase = np.exp(1j * eps * t)
-        h = env * (op * np.exp(-1j * omega * t) + op.conj().T * np.exp(1j * omega * t))
+        h = env * (op * np.exp(-1j * omega * t) + adj * np.exp(1j * omega * t))
         # interaction picture: i dc/dt = e^{i eps_a t} H_ab e^{-i eps_b t} c_b
         return -1j * phase * (h @ (c / phase))
 

@@ -4,13 +4,18 @@ Orbitals are shell functions R_n(r) * sum_m C_m Y_lm(theta, phi).  Radial
 band profiles are Gaussian shells, orthonormalized across bands (sequential
 Gram-Schmidt in band order) so that the full orbital set is orthonormal;
 the orthogonalization is what gives the diffuse top band its radial nodes.
-Band energies follow E_n + l(l+1)/(2 R^2).
+Band energies follow E_n + l(l+1)/(2 R^2).  The radial rule the profiles are
+built on also measures how much of each band lies beyond a grid's r_max.
 
 Evaluation builds one table of Y_lm and its two angular derivatives over
 all (l, m) up to the largest l requested, and contracts each orbital's
 (2l+1)-entry coefficient block against it, so one-hot and symmetry-table
 orbitals share one path.  On a QuadratureGrid the radial parts are taken on
-the radial nodes and the angular parts on the angular nodes only.
+the radial nodes and the angular parts on the angular nodes only.  For the
+same reason the Gram matrix on a product grid factorises exactly:
+<psi_i|psi_j> = G_rad[b_i, b_j] * G_ang[i, j], a band Gram over the radial
+rule times the Gram of the angular parts over the angular rule, so
+``product_grid_gram`` tabulates no orbital on the full grid.
 """
 
 from __future__ import annotations
@@ -36,6 +41,7 @@ __all__ = [
     "load_symmetry_coefficients",
     "orbital_tables",
     "parabolic_energy",
+    "product_grid_gram",
 ]
 
 DEFAULT_CAGE_RADIUS = 6.7   # bohr, averaged molecular radius
@@ -92,7 +98,9 @@ class RadialShellSet:
         self.widths = np.asarray(widths, dtype=float)
         r_up = float(np.max(self.centers + 8.0 * self.widths))
         r_up = max(r_up, 4.0 * float(np.max(self.centers)))
-        rr, ww = numerics.gauss_legendre(600, 0.0, r_up)
+        # the rule the profiles are normalized on, kept for tail_norms
+        rr, ww = self.nodes, self.weights = numerics.gauss_legendre(
+            600, 0.0, r_up)
         gauss = np.exp(-((rr[None, :] - self.centers[:, None]) ** 2)
                        / (2.0 * self.widths[:, None] ** 2))
         norms = np.sqrt(np.einsum("r,ir->i", ww * rr * rr, gauss**2))
@@ -118,6 +126,13 @@ class RadialShellSet:
         r = np.asarray(r, dtype=float)
         slope = -(r[None, :] - self.centers[:, None]) / self.widths[:, None] ** 2
         return self.ortho @ (slope * self._bare_all(r))
+
+    def tail_norms(self, r_max: float) -> np.ndarray:
+        """Squared norm of each profile beyond r_max, summed over the nodes
+        of the construction rule that lie past it."""
+        far = self.nodes > r_max
+        r = self.nodes[far]
+        return (self.values(r) ** 2) @ (self.weights[far] * r * r)
 
 
 # ---------------------------------------------------------------------------
@@ -318,12 +333,17 @@ def orbital_tables(basis: Basis, orbitals, points):
     return psi, grad
 
 
+def _angles(dirs):
+    """cos theta, sin theta and phi of unit directions (n, 3)."""
+    ct = np.clip(dirs[:, 2], -1.0, 1.0)
+    return ct, np.sqrt(np.maximum(0.0, 1.0 - ct * ct)), np.arctan2(
+        dirs[:, 1], dirs[:, 0])
+
+
 def _fill_tables(basis, orbitals, r, dirs, psi, grad):
     """Write the orbitals at the broadcast product of radii r and unit
     directions dirs into psi (n_orb, n) and grad (n_orb, n, 3)."""
-    ct = np.clip(dirs[:, 2], -1.0, 1.0)
-    st = np.sqrt(np.maximum(0.0, 1.0 - ct * ct))
-    phi = np.arctan2(dirs[:, 1], dirs[:, 0])
+    ct, st, phi = _angles(dirs)
     lmax = max((o.l for o in orbitals), default=0)
     y, dth, dph = _harmonic_tables(lmax, ct, st, phi)
     that = np.stack([ct * np.cos(phi), ct * np.sin(phi), -st], axis=1)
@@ -348,6 +368,27 @@ def _fill_tables(basis, orbitals, r, dirs, psi, grad):
         at0 = c @ lim[rows]
         psi[k, origin] = rad0[b] * at0[0]
         grad[k, origin] = drad0[b] * at0[1:]
+
+
+def product_grid_gram(basis: Basis, orbitals,
+                      grid: numerics.QuadratureGrid) -> np.ndarray:
+    """Quadrature overlaps <psi_i|psi_j> of the orbitals on a product grid.
+
+    Each orbital is R_b(r) * sum_m C_m Y_lm and the grid weights are radial
+    times angular weights, so the grid sum splits into a band Gram over the
+    radial nodes times a Gram of the angular parts over the angular nodes.
+    Equal to ``(psi.conj() * grid.weights) @ psi.T`` over the
+    ``orbital_tables`` values up to rounding (no node sits at r = 0).
+    """
+    orbitals = list(orbitals)
+    rad = basis.shells.values(grid.radial_nodes)
+    g_rad = (rad * grid.radial_weights) @ rad.T
+    lmax = max((o.l for o in orbitals), default=0)
+    y = _harmonic_tables(lmax, *_angles(grid.angular_nodes))[0]
+    ang = np.array([o.coeffs @ y[o.l ** 2:(o.l + 1) ** 2] for o in orbitals])
+    g_ang = (ang.conj() * grid.angular_weights) @ ang.T
+    bands = [o.band_pos for o in orbitals]
+    return g_rad[np.ix_(bands, bands)] * g_ang
 
 
 def evaluate_orbital(orbital: Orbital, basis: Basis, point) -> complex:

@@ -222,11 +222,23 @@ class TestPlanesCommand:
 
 
 class TestCheckCommand:
-    def test_pristine_build_passes(self, tmp_path):
+    def test_pristine_build_passes(self, tmp_path, monkeypatch):
+        sizes = []
+        tabulate = structure.orbital_tables
+
+        def spy(basis, orbitals, points):
+            orbitals = list(orbitals)
+            sizes.append(len(orbitals))
+            return tabulate(basis, orbitals, points)
+
+        monkeypatch.setattr(structure, "orbital_tables", spy)
         assert cli.main(["--out", str(tmp_path), "check"]) == 0
         report = (tmp_path / "check_report.txt").read_text()
         assert "FAIL" not in report
         assert "SKIP symmetry-table" in report
+        # the basis Gram is factored: nothing tabulates the whole basis,
+        # at most the 36 + 16 band-2/3 orbitals
+        assert sizes and max(sizes) <= 52
 
     def test_degeneracy_abuse_fails_loudly(self, tmp_path, capsys):
         rc = cli.main(["--out", str(tmp_path),
@@ -267,6 +279,8 @@ class TestExitCodes:
         ("scan.charges=[0, 41]", "charge-sweep"),
         ("numerics.n_radial=8", "spectrum"),
         ("numerics.r_max_factor=0", "spectrum"),
+        ("numerics.r_max_factor=0.5", "spectrum"),
+        ("numerics.r_max_factor=2.5", "spectrum"),
         ("model.symmetry_table={missing}", "spectrum"),
         ("scan.plane_resolution=16", "planes"),
         ("pulse.omega_ev=abc", "spectrum"),

@@ -167,6 +167,24 @@ class TestTransitionSet:
         dev = np.abs(mat - mat.conj().T).max()
         assert dev < 1e-10 * np.abs(mat).max()
 
+    def test_shared_list_tabulated_once(self, basis, grid, pulse_m1,
+                                        monkeypatch):
+        calls = []
+        tabulate = structure.orbital_tables
+
+        def spy(basis, orbitals, points):
+            calls.append(len(orbitals))
+            return tabulate(basis, orbitals, points)
+
+        monkeypatch.setattr(structure, "orbital_tables", spy)
+        orbs = basis.band_orbitals(3)
+        shared = coupling.interaction_matrix(pulse_m1, basis, orbs, orbs, grid)
+        assert len(calls) == 1
+        separate = coupling.interaction_matrix(pulse_m1, basis, list(orbs),
+                                               list(orbs), grid)
+        assert len(calls) == 3
+        assert np.array_equal(shared, separate)
+
     def test_requires_orbitals(self, grid):
         # no electrons in band 2: no transition sources
         bands = list(structure.default_bands())

@@ -347,20 +347,6 @@ def compare_kernel_to_sampled(kernel, exc, basis, grid,
 
 
 @pytest.fixture(scope="module")
-def symmetry_basis(tmp_path_factory):
-    # e_g / t2g substates for l = 2: two- and three-dimensional blocks
-    s = 1.0 / math.sqrt(2.0)
-    path = tmp_path_factory.mktemp("table") / "table.dat"
-    path.write_text("\n".join([
-        f"2 eg 0 2 {s} 0.0", f"2 eg 0 -2 {s} 0.0",
-        f"2 eg 1 2 {s} 0.0", f"2 eg 1 -2 {-s} 0.0",
-        "2 t2g 0 1 1.0 0.0", "2 t2g 1 -1 1.0 0.0", "2 t2g 2 0 1.0 0.0"]))
-    table = structure.load_symmetry_coefficients(path)
-    return structure.build_basis(structure.default_bands(),
-                                 symmetry_table=table)
-
-
-@pytest.fixture(scope="module")
 def symmetry_setup(symmetry_basis, grid):
     tables = coupling.transition_tables(symmetry_basis, grid)
     return coupling.build_transition_set(tables, make_pulse(1)), \

@@ -307,11 +307,23 @@ class TestEvaluationLayouts:
             assert np.allclose(grad[:, 0], slope * expected, rtol=1e-12, atol=0)
 
 
+def tabulated_gram(basis, grid):
+    psi, _ = structure.orbital_tables(basis, basis.orbitals, grid)
+    return (psi.conj() * grid.weights) @ psi.T
+
+
 class TestBasisGram:
     def test_identity(self, basis, grid):
-        psi, _ = structure.orbital_tables(basis, basis.orbitals, grid)
-        gram = (psi.conj() * grid.weights) @ psi.T
+        gram = tabulated_gram(basis, grid)
         assert np.abs(gram - np.eye(len(basis.orbitals))).max() < 1e-8
+
+    @pytest.mark.parametrize("which", ["basis", "symmetry_basis"])
+    def test_factored_matches_tabulated(self, request, grid, which):
+        # the symmetry table gives l = 2 coefficient blocks that are not
+        # one-hot in m
+        b = request.getfixturevalue(which)
+        factored = structure.product_grid_gram(b, b.orbitals, grid)
+        assert np.abs(factored - tabulated_gram(b, grid)).max() <= 1e-13
 
 
 class TestSymmetryTable:
