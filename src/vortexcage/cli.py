@@ -431,7 +431,8 @@ def _oracle_check(run: RunConfig):
     reduced = (bands[0],
                dataclasses.replace(bands[1], l_max=1, electron_count=8),
                dataclasses.replace(bands[2], l_max=1, electron_count=0))
-    basis = structure.build_basis(reduced, run.raw["model"]["cage_radius_bohr"])
+    basis = structure.build_basis(reduced, run.raw["model"]["cage_radius_bohr"],
+                                  shells=run.basis.shells)
     grid = numerics.build_grid(0.0, run.r_max, run.n_radial, 10, l_basis_max=1)
     omega = bands[2].energy_offset - bands[1].energy_offset
     pulse = beam.VortexPulse(a0=0.003, m_oam=1, omega=omega, delta=run.delta,

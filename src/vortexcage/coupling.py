@@ -72,10 +72,9 @@ class TransitionTables:
 
 
 def _operand_tables(basis, orbitals, grid):
-    """Values and x-derivatives of the orbitals the operator acts on; the
-    rest of the gradient is dropped on return."""
-    psi, grad = structure.orbital_tables(basis, orbitals, grid)
-    return psi, grad[:, :, 0].copy()
+    """Values and x-derivatives of the orbitals the operator acts on."""
+    psi, dx = structure.orbital_tables(basis, orbitals, grid, axes=(0,))
+    return psi, dx[:, :, 0]
 
 
 def _contract(field, bra, psi, dx, points) -> np.ndarray:
@@ -92,7 +91,8 @@ def interaction_matrix(field, basis: structure.Basis, row_orbitals,
     """
     psi, dx = _operand_tables(basis, col_orbitals, grid)
     psi_rows = (psi if row_orbitals is col_orbitals
-                else structure.orbital_tables(basis, row_orbitals, grid)[0])
+                else structure.orbital_tables(basis, row_orbitals, grid,
+                                              axes=())[0])
     return _contract(field, psi_rows.conj() * grid.weights, psi, dx,
                      grid.points)
 

@@ -236,15 +236,27 @@ def sample_current_plane(excitation, basis, plane: str, extent: float,
 
 
 def write_plane(path, plane: str, extent: float, points, j):
-    pts = points.reshape(-1, 3)
-    vals = j.reshape(-1, 3)
+    """Write a lattice as text, one ``x y z jx jy jz`` line per point in
+    ``%.17g``.
+
+    A lattice repeats few coordinate values, so each distinct float64 bit
+    pattern is formatted once (bits, not values, so -0.0 stays "-0"); the
+    lines are then one ``%`` operation over the whole block.
+    """
+    pts = np.ascontiguousarray(points, dtype=float).reshape(-1, 3)
+    bits, where = np.unique(pts.view(np.uint64), return_inverse=True)
+    coord = np.array(["%.17g" % x for x in bits.view(float).tolist()],
+                     dtype=object)
+    cols = np.empty((len(pts), 6), dtype=object)
+    cols[:, :3] = coord[where.reshape(-1, 3)]
+    cols[:, 3:] = j.reshape(-1, 3)
+    n = int(round(math.sqrt(len(pts))))
+    text = (f"# plane={plane} extent={extent:.17g} resolution={n}\n"
+            "# x y z jx jy jz\n"
+            + ("%s %s %s %.17g %.17g %.17g\n" * len(pts))
+            % tuple(cols.ravel().tolist()))
     with open(path, "w", encoding="utf-8") as fh:
-        n = int(round(math.sqrt(len(pts))))
-        fh.write(f"# plane={plane} extent={extent:.17g} resolution={n}\n")
-        fh.write("# x y z jx jy jz\n")
-        for p, v in zip(pts, vals):
-            fh.write(f"{p[0]:.17g} {p[1]:.17g} {p[2]:.17g} "
-                     f"{v[0]:.17g} {v[1]:.17g} {v[2]:.17g}\n")
+        fh.write(text)
 
 
 # ---------------------------------------------------------------------------

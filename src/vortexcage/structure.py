@@ -186,17 +186,26 @@ def _spherical_substates(l: int):
 
 def build_basis(bands: tuple[BandSpec, ...] | None = None,
                 cage_radius: float = DEFAULT_CAGE_RADIUS,
-                symmetry_table: "SymmetryTable | None" = None) -> Basis:
+                symmetry_table: "SymmetryTable | None" = None,
+                shells: RadialShellSet | None = None) -> Basis:
     """Enumerate orbitals in (n, l, substate) order with energies and filling.
 
     In spherical mode coefficients are one-hot in m.  With a symmetry table
     the tabulated (l, rep, lambda) combinations replace the one-hot set for
-    every l they cover; substate order then follows the table.
+    every l they cover; substate order then follows the table.  ``shells``
+    reuses the radial shells of another basis with the same band radii and
+    widths (ValueError otherwise); by default they are built here.
     """
     if bands is None:
         bands = default_bands()
-    shells = RadialShellSet([b.shell_radius for b in bands],
-                            [b.shell_width for b in bands])
+    centers = [b.shell_radius for b in bands]
+    widths = [b.shell_width for b in bands]
+    if shells is None:
+        shells = RadialShellSet(centers, widths)
+    elif not (np.array_equal(shells.centers, centers)
+              and np.array_equal(shells.widths, widths)):
+        raise ValueError("the radial shells do not match the bands' shell "
+                         "radii and widths")
     orbitals: list[Orbital] = []
     index = 0
     for pos, band in enumerate(bands):
@@ -305,13 +314,15 @@ _ORIGIN_LIMITS = np.array([[_Y00, 0.0, 0.0, _Y00],
                            [0.0, -_C1, -1j * _C1, 0.0]])    # m = +1
 
 
-def orbital_tables(basis: Basis, orbitals, points):
+def orbital_tables(basis: Basis, orbitals, points, axes=(0, 1, 2)):
     """Vectorized values and gradients for a set of orbitals.
 
     ``points`` is a QuadratureGrid, read as its radial nodes times its
     angular nodes (joined by broadcasting in ``points`` order), or an
-    (n, 3) array with one radius and direction per point.  Returns (psi,
-    grad) with shapes (n_orb, n_pts) and (n_orb, n_pts, 3).  At r = 0 the
+    (n, 3) array with one radius and direction per point.  ``axes`` names
+    the Cartesian gradient components to build (0, 1, 2 for x, y, z).
+    Returns (psi, grad) with shapes (n_orb, n_pts) and (n_orb, n_pts,
+    len(axes)); column i of grad is d/d(axes[i]).  At r = 0 the
     (regularized) +z-axis limit is used: psi vanishes for l >= 1, the
     gradient for l >= 2.
     """
@@ -326,9 +337,10 @@ def orbital_tables(basis: Basis, orbitals, points):
         # blocks of points keep the per-point harmonic tables small
         n_pts, step = len(r), 8192
     psi = np.empty((len(orbitals), n_pts), dtype=complex)
-    grad = np.empty((len(orbitals), n_pts, 3), dtype=complex)
+    axes = list(axes)
+    grad = np.empty((len(orbitals), n_pts, len(axes)), dtype=complex)
     for i in range(0, n_pts, step):
-        _fill_tables(basis, orbitals, r[i:i + step], dirs[i:i + step],
+        _fill_tables(basis, orbitals, r[i:i + step], dirs[i:i + step], axes,
                      psi[:, i:i + step], grad[:, i:i + step])
     return psi, grad
 
@@ -340,14 +352,17 @@ def _angles(dirs):
         dirs[:, 1], dirs[:, 0])
 
 
-def _fill_tables(basis, orbitals, r, dirs, psi, grad):
+def _fill_tables(basis, orbitals, r, dirs, axes, psi, grad):
     """Write the orbitals at the broadcast product of radii r and unit
-    directions dirs into psi (n_orb, n) and grad (n_orb, n, 3)."""
+    directions dirs into psi (n_orb, n) and the gradient components
+    ``axes`` into grad (n_orb, n, len(axes))."""
     ct, st, phi = _angles(dirs)
     lmax = max((o.l for o in orbitals), default=0)
     y, dth, dph = _harmonic_tables(lmax, ct, st, phi)
-    that = np.stack([ct * np.cos(phi), ct * np.sin(phi), -st], axis=1)
-    phat = np.stack([-np.sin(phi), np.cos(phi), np.zeros_like(phi)], axis=1)
+    that = np.stack([ct * np.cos(phi), ct * np.sin(phi), -st], axis=1)[:, axes]
+    phat = np.stack([-np.sin(phi), np.cos(phi), np.zeros_like(phi)],
+                    axis=1)[:, axes]
+    rhat = dirs[:, axes]
     rad = basis.shells.values(r.ravel()).reshape((-1,) + r.shape)
     drad = basis.shells.derivatives(r.ravel()).reshape((-1,) + r.shape)
     inv_r = 1.0 / np.where(r > 0.0, r, 1.0)
@@ -355,6 +370,7 @@ def _fill_tables(basis, orbitals, r, dirs, psi, grad):
     origin = np.flatnonzero(np.broadcast_to(r == 0.0, shape))
     lim = np.zeros(((lmax + 2) ** 2, 4), dtype=complex)
     lim[:4] = _ORIGIN_LIMITS
+    lim = lim[:, [0] + [1 + a for a in axes]]
     rad0 = basis.shells.values(np.zeros(1))[:, 0]
     drad0 = basis.shells.derivatives(np.zeros(1))[:, 0]
     for k, orb in enumerate(orbitals):
@@ -362,8 +378,8 @@ def _fill_tables(basis, orbitals, r, dirs, psi, grad):
         ang = c @ y[rows]
         tang = (c @ dth[rows])[:, None] * that + (c @ dph[rows])[:, None] * phat
         np.multiply(rad[b], ang, out=psi[k].reshape(shape))
-        g = grad[k].reshape(shape + (3,))
-        np.multiply(drad[b][..., None], ang[:, None] * dirs, out=g)
+        g = grad[k].reshape(shape + (len(axes),))
+        np.multiply(drad[b][..., None], ang[:, None] * rhat, out=g)
         g += (rad[b] * inv_r)[..., None] * tang
         at0 = c @ lim[rows]
         psi[k, origin] = rad0[b] * at0[0]

@@ -182,9 +182,9 @@ class TestScanTabulation:
         calls = []
         tabulate = structure.orbital_tables
 
-        def spy(basis, orbitals, points):
+        def spy(basis, orbitals, points, **kw):
             calls.append(isinstance(points, numerics.QuadratureGrid))
-            return tabulate(basis, orbitals, points)
+            return tabulate(basis, orbitals, points, **kw)
 
         monkeypatch.setattr(structure, "orbital_tables", spy)
         counts = []
@@ -226,10 +226,10 @@ class TestCheckCommand:
         sizes = []
         tabulate = structure.orbital_tables
 
-        def spy(basis, orbitals, points):
+        def spy(basis, orbitals, points, **kw):
             orbitals = list(orbitals)
             sizes.append(len(orbitals))
-            return tabulate(basis, orbitals, points)
+            return tabulate(basis, orbitals, points, **kw)
 
         monkeypatch.setattr(structure, "orbital_tables", spy)
         assert cli.main(["--out", str(tmp_path), "check"]) == 0

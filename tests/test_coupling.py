@@ -172,9 +172,9 @@ class TestTransitionSet:
         calls = []
         tabulate = structure.orbital_tables
 
-        def spy(basis, orbitals, points):
+        def spy(basis, orbitals, points, **kw):
             calls.append(len(orbitals))
-            return tabulate(basis, orbitals, points)
+            return tabulate(basis, orbitals, points, **kw)
 
         monkeypatch.setattr(structure, "orbital_tables", spy)
         orbs = basis.band_orbitals(3)

@@ -290,6 +290,33 @@ class TestPlanes:
         assert lines[0] == f"# plane=xy extent=8 resolution=32"
         assert len(lines) == 2 + 32 * 32
 
+    def test_plane_writer_bytes_match_line_writer(self, tmp_path):
+        def line_writer(path, plane, extent, points, j):
+            # one f-string per lattice point: the layout write_plane keeps
+            pts, vals = points.reshape(-1, 3), j.reshape(-1, 3)
+            with open(path, "w", encoding="utf-8") as fh:
+                n = int(round(math.sqrt(len(pts))))
+                fh.write(f"# plane={plane} extent={extent:.17g} "
+                         f"resolution={n}\n")
+                fh.write("# x y z jx jy jz\n")
+                for p, v in zip(pts, vals):
+                    fh.write(f"{p[0]:.17g} {p[1]:.17g} {p[2]:.17g} "
+                             f"{v[0]:.17g} {v[1]:.17g} {v[2]:.17g}\n")
+
+        # odd resolution: the centre coordinate is 0.0, beside planted -0.0
+        pts = observables.plane_lattice("xz", 7.3, 33)
+        assert pts[16, 16, 0] == 0.0
+        j = np.random.default_rng(3).standard_normal(pts.shape) * 1e-7
+        pts[0, 1] = j[0, 0] = (-0.0, 0.0, -0.0)
+        pts[2, 0] = j[4, 9] = (5e-324, -2.5e-310, -1.0 / 3.0)
+        j[1] = -0.0
+        written, expected = tmp_path / "block.dat", tmp_path / "lines.dat"
+        observables.write_plane(written, "xz", 7.3, pts, j)
+        line_writer(expected, "xz", 7.3, pts, j)
+        text = written.read_bytes()
+        assert text == expected.read_bytes()
+        assert b"\n-0 0 -0 " in text and b"\n0 0 0 " in text
+
     def test_invalid_arguments(self, basis, exc_m1):
         with pytest.raises(ValueError):
             observables.sample_current_plane(exc_m1, None, "xy", 8.0, 16)
