@@ -94,8 +94,8 @@ def _evaluate_point(run: RunConfig, kernel: observables.ScanKernel, ts,
     kernel of the set's targets.
 
     The transition matrix has no frequency content (spatial operator only),
-    so a family's set, built once from the grid's tables, is reused across
-    its photon energies with just the pulse carrier swapped.
+    so a family's set, built once, is reused across its photon energies
+    with just the pulse carrier swapped.
     """
     shifted = dataclasses.replace(ts.pulse, omega=ev_to_hartree(omega_ev))
     ts_at_omega = dataclasses.replace(ts, pulse=shifted)
@@ -152,19 +152,17 @@ def _scan(run: RunConfig, out_dir: Path, threads: int, command: str, grid,
           families) -> ScanResult:
     """Scan ``(pulse, photon energies in eV, record metadata)`` families.
 
-    The orbitals are tabulated once for the grid
-    (``coupling.transition_tables``).  Each family's transition set is then
-    two matrix products against those tables, and the one
-    ``observables.scan_kernel`` reads its target orbitals from them.  One
-    record per (family, energy) goes to ``<command>.csv`` and, if
-    configured, ``<command>_long.csv``.
+    Each family's transition set (``coupling.build_transition_set``)
+    tabulates no orbital on the full grid; the one ``observables.scan_kernel``
+    tabulates the targets on the grid once for every family.  One record per
+    (family, energy) goes to ``<command>.csv`` and, if configured,
+    ``<command>_long.csv``.
     """
     _write_metadata(run, out_dir, command)
-    tables = coupling.transition_tables(run.basis, grid)
     sets = _map(lambda family: coupling.build_transition_set(
-        tables, family[0]), families, threads)
-    kernel = observables.scan_kernel(tables, run.eta, run.charge_convention,
-                                     run.r_cut)
+        run.basis, grid, family[0]), families, threads)
+    kernel = observables.scan_kernel(run.basis, grid, run.eta,
+                                     run.charge_convention, run.r_cut)
     points = [(kernel, ts, omega_ev, meta)
               for ts, (_, omegas, meta) in zip(sets, families)
               for omega_ev in omegas]
@@ -240,8 +238,7 @@ def cmd_planes(run: RunConfig, out_dir: Path, threads: int) -> list[Path]:
     _write_metadata(run, out_dir, "planes")
     grid = run.make_grid()
     pulse = run.make_pulse()
-    ts = coupling.build_transition_set(
-        coupling.transition_tables(run.basis, grid), pulse)
+    ts = coupling.build_transition_set(run.basis, grid, pulse)
     exc = dynamics.excite(ts, run.basis, run.validity_threshold)
     extent = run.raw["scan"]["plane_extent_bohr"]
     resolution = run.raw["scan"]["plane_resolution"]
@@ -348,15 +345,13 @@ def _run_checks(run: RunConfig):
            ok, f"eta {run.eta:.2e} vs min level gap {min_gap:.2e}", "check")
 
     pulse = run.make_pulse(rho0=0.0)
-    tables = coupling.transition_tables(basis, grid)
-    ts = coupling.build_transition_set(tables, pulse)
+    ts = coupling.build_transition_set(basis, grid, pulse)
     # a vanishing response (high charges) has a roundoff-level max|M|, so
     # the selection and convergence checks also scale by the centred
     # m = +1 set at the same A0 (|M| is the same for m = -1), and the
     # current-purity check skips a set below it
     floor = (ts if abs(pulse.m_oam) == 1 else coupling.build_transition_set(
-        tables, run.make_pulse(m_oam=1, rho0=0.0))).max_abs()
-    del tables      # nor the tables: later checks tabulate their own
+        basis, grid, run.make_pulse(m_oam=1, rho0=0.0))).max_abs()
     mmax = max(ts.max_abs(), floor, 1e-300)
     bad_az = bad_par = 0.0
     for jr, j_idx in enumerate(ts.unoccupied):
@@ -437,8 +432,7 @@ def _oracle_check(run: RunConfig):
     omega = bands[2].energy_offset - bands[1].energy_offset
     pulse = beam.VortexPulse(a0=0.003, m_oam=1, omega=omega, delta=run.delta,
                              waist=run.waist)
-    ts = coupling.build_transition_set(
-        coupling.transition_tables(basis, grid), pulse)
+    ts = coupling.build_transition_set(basis, grid, pulse)
     pops = dynamics.excite(ts, basis).populations()
     dt = 0.04 * 2 * math.pi / omega
     coeffs, states = dynamics.propagate_oracle(basis, pulse, grid, dt=dt)

@@ -247,9 +247,9 @@ class RunConfig:
     def resolve(cls, cfg: dict) -> "RunConfig":
         """Unit-converted setup.  Values that the symmetry-table loader or
         the basis, pulse, grid and plane-lattice constructors refuse, a
-        basis with no transitions, and a grid that cuts off more than 1e-8
-        of a band's squared norm raise ConfigError here, before any
-        command starts."""
+        basis with no transitions, a grid that cuts off more than 1e-8 of
+        a band's squared norm, and a Biot-Savart cutoff that excludes the
+        whole grid raise ConfigError here, before any command starts."""
         try:
             run = cls._convert(cfg)
             transition_orbitals(run.basis)
@@ -264,6 +264,11 @@ class RunConfig:
                     f"{run.r_max:.4g} bohr, beyond which band "
                     f"{run.basis.bands[worst].n} keeps {tail[worst]:.2e} of "
                     f"its squared norm (limit 1e-08)")
+            if run.r_cut >= run.r_max:
+                raise ValueError(
+                    f"numerics.r_cut_bohr = {run.r_cut:.4g} bohr leaves no "
+                    f"grid point for the Biot-Savart field (r_max = "
+                    f"{run.r_max:.4g} bohr)")
             plane_lattice("xy", cfg["scan"]["plane_extent_bohr"],
                           cfg["scan"]["plane_resolution"])
         except (OSError, ValueError) as exc:

@@ -10,12 +10,22 @@ symmetrized momentum coupling.  Any object exposing
 ``spatial_amplitude(points) -> (A_x, dA_x/dx)`` works as the field; the
 vector potential points along x throughout.
 
-The orbitals do not depend on the pulse, so ``transition_tables`` tabulates
-them once per grid: the weighted target bras conj(psi_j) w and the source
-values psi_k and x-derivatives d_x psi_k.  A pulse then costs one
-``spatial_amplitude`` call and two matrix products,
+Every orbital is R_b(r) Y(r-hat) and the product grid's weights are
+w_r w_a, so the grid sum factors.  A source psi_k = R_c Y_k has
+d_x psi_k = R_c' x-hat.r-hat Y_k + (R_c / r) T_xk, with T = r grad Y from
+``structure.angular_tables``.  The field, evaluated once on the grid, is
+summed over the radial nodes per (row band b, column band c) pair into
+three vectors on the angular nodes,
 
-    M = (bra * -(i/2) dA_x/dx) @ psi^T + (bra * -i A_x) @ (d_x psi)^T.
+    D = sum_r w_r R_b R_c dA_x/dx,  P = sum_r w_r R_b R_c' A_x,
+    Q = sum_r w_r R_b (R_c / r) A_x.
+
+Each band-pair block of M is then two matrix products,
+
+    M = (conj(Y_j) w_a (-(i/2) D - i P x-hat.r-hat)) @ Y_k^T
+        + (conj(Y_j) w_a (-i Q)) @ T_xk^T,
+
+so no orbital is tabulated on the full grid.
 """
 
 from __future__ import annotations
@@ -29,11 +39,9 @@ from .numerics import QuadratureGrid
 
 __all__ = [
     "TransitionSet",
-    "TransitionTables",
     "build_transition_set",
     "interaction_matrix",
     "transition_orbitals",
-    "transition_tables",
 ]
 
 PRUNE_RELATIVE = 1e-14
@@ -53,48 +61,38 @@ class TransitionSet:
         return float(np.max(np.abs(self.matrix))) if self.matrix.size else 0.0
 
 
-@dataclass(frozen=True, eq=False)
-class TransitionTables:
-    """Pulse-independent orbital tables of every transition on one grid.
-
-    Targets keep their full tables, which ``observables.scan_kernel`` reads;
-    sources keep only what the operator acts on.
-    """
-
-    grid: QuadratureGrid
-    targets: tuple[structure.Orbital, ...]   # unoccupied band 3 (rows)
-    sources: tuple[structure.Orbital, ...]   # occupied band 2 (columns)
-    target_psi: np.ndarray        # (n_targets, n_pts)
-    target_grad: np.ndarray       # (n_targets, n_pts, 3)
-    bra: np.ndarray               # conj(target_psi) * grid weights
-    source_psi: np.ndarray        # (n_sources, n_pts)
-    source_dx: np.ndarray         # (n_sources, n_pts), d/dx of source_psi
-
-
-def _operand_tables(basis, orbitals, grid):
-    """Values and x-derivatives of the orbitals the operator acts on."""
-    psi, dx = structure.orbital_tables(basis, orbitals, grid, axes=(0,))
-    return psi, dx[:, :, 0]
-
-
-def _contract(field, bra, psi, dx, points) -> np.ndarray:
-    """<bra_j | H | psi_k> from weighted bras and operand tables."""
-    a_x, div = field.spatial_amplitude(points)
-    return (bra * (-0.5j * div)) @ psi.T + (bra * (-1j * a_x)) @ dx.T
-
-
 def interaction_matrix(field, basis: structure.Basis, row_orbitals,
                        col_orbitals, grid: QuadratureGrid) -> np.ndarray:
-    """Quadrature matrix <row_j | H | col_k>, shape (n_rows, n_cols).
+    """Quadrature matrix <row_j | H | col_k>, shape (n_rows, n_cols)."""
+    rows, cols = list(row_orbitals), list(col_orbitals)
+    r, n_r = grid.radial_nodes, len(grid.radial_nodes)
+    a_x, div = field.spatial_amplitude(grid.points)
+    rad = basis.shells.values(r)
+    bra_rad = (rad * grid.radial_weights)[:, None, :]
 
-    Passing one list object as both rows and columns tabulates it once.
-    """
-    psi, dx = _operand_tables(basis, col_orbitals, grid)
-    psi_rows = (psi if row_orbitals is col_orbitals
-                else structure.orbital_tables(basis, row_orbitals, grid,
-                                              axes=())[0])
-    return _contract(field, psi_rows.conj() * grid.weights, psi, dx,
-                     grid.points)
+    def radial_sum(ket_rad, f):
+        # one matmul over the radial nodes: (bra band, ket band, angular node)
+        pairs = (bra_rad * ket_rad).reshape(-1, n_r)
+        return (pairs @ f.reshape(n_r, -1)).reshape(len(rad), len(rad), -1)
+
+    d = radial_sum(rad, div)
+    p = radial_sum(basis.shells.derivatives(r), a_x)
+    q = radial_sum(rad / r, a_x)
+    dirs, w_a = grid.angular_nodes, grid.angular_weights
+    bras = structure.angular_tables(rows, dirs)[0].conj() * w_a
+    y_cols, t_cols = structure.angular_tables(cols, dirs)
+    row_pos = np.array([o.band_pos for o in rows])
+    col_pos = np.array([o.band_pos for o in cols])
+    mat = np.zeros((len(rows), len(cols)), dtype=complex)
+    for b in np.unique(row_pos):
+        jj = np.flatnonzero(row_pos == b)
+        for c in np.unique(col_pos):
+            kk = np.flatnonzero(col_pos == c)
+            mat[np.ix_(jj, kk)] = (
+                (bras[jj] * (-0.5j * d[b, c] - 1j * p[b, c] * dirs[:, 0]))
+                @ y_cols[kk].T
+                + (bras[jj] * (-1j * q[b, c])) @ t_cols[kk, :, 0].T)
+    return mat
 
 
 def transition_orbitals(basis: structure.Basis):
@@ -108,27 +106,16 @@ def transition_orbitals(basis: structure.Basis):
     return occupied, unoccupied
 
 
-def transition_tables(basis: structure.Basis,
-                      grid: QuadratureGrid) -> TransitionTables:
-    """``TransitionTables`` of the ``transition_orbitals`` on the grid."""
-    sources, targets = transition_orbitals(basis)
-    source_psi, source_dx = _operand_tables(basis, sources, grid)
-    psi, grad = structure.orbital_tables(basis, targets, grid)
-    return TransitionTables(
-        grid=grid, targets=tuple(targets), sources=tuple(sources),
-        target_psi=psi, target_grad=grad, bra=psi.conj() * grid.weights,
-        source_psi=source_psi, source_dx=source_dx)
-
-
-def build_transition_set(tables: TransitionTables, pulse,
+def build_transition_set(basis: structure.Basis, grid: QuadratureGrid, pulse,
                          prune: bool = True) -> TransitionSet:
     """All (occupied band-2) x (unoccupied band-3) elements.
 
-    Rows follow the targets, columns the sources of the tables.  Entries
-    below 1e-14 * max|M| are zeroed and recorded in ``pruned``.
+    Rows follow the targets, columns the sources of
+    ``transition_orbitals``.  Entries below 1e-14 * max|M| are zeroed and
+    recorded in ``pruned``.
     """
-    mat = _contract(pulse, tables.bra, tables.source_psi, tables.source_dx,
-                    tables.grid.points)
+    sources, targets = transition_orbitals(basis)
+    mat = interaction_matrix(pulse, basis, targets, sources, grid)
     pruned = ()
     if prune:
         scale = float(np.max(np.abs(mat))) if mat.size else 0.0
@@ -137,6 +124,6 @@ def build_transition_set(tables: TransitionTables, pulse,
             pruned = tuple((int(j), int(k)) for j, k in zip(*np.nonzero(mask)))
             mat = np.where(mask, 0.0, mat)
     return TransitionSet(
-        occupied=tuple(o.index for o in tables.sources),
-        unoccupied=tuple(o.index for o in tables.targets),
+        occupied=tuple(o.index for o in sources),
+        unoccupied=tuple(o.index for o in targets),
         matrix=mat, pulse=pulse, pruned=pruned)

@@ -31,7 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import structure
+from . import coupling, structure
 from .numerics import gauss_legendre
 from .structure import DEFAULT_ETA
 from .units import AU_BFIELD_T, BOHR_MAGNETON_AU, MU0_OVER_4PI_AU
@@ -176,17 +176,16 @@ class ScanKernel:
         return mag, norms
 
 
-def scan_kernel(tables, eta: float = DEFAULT_ETA,
+def scan_kernel(basis, grid, eta: float = DEFAULT_ETA,
                 charge_convention: str = "electron",
                 r_cut: float = DEFAULT_R_CUT) -> ScanKernel:
-    """``ScanKernel`` of the targets of ``coupling.TransitionTables``.
+    """``ScanKernel`` of the ``coupling.transition_orbitals`` targets.
 
-    It reads the target orbitals already tabulated on the tables' grid;
-    every scan point that excites these targets on this grid then reuses
-    the integrals.
+    It tabulates the targets on the grid once; every scan point that
+    excites these targets on this grid then reuses the integrals.
     """
-    targets, grid = tables.targets, tables.grid
-    psi, grad = tables.target_psi, tables.target_grad
+    _, targets = coupling.transition_orbitals(basis)
+    psi, grad = structure.orbital_tables(basis, targets, grid)
     sign = _charge_sign(charge_convention)
     rows = [(l, lp, imag_c) for block in _coherence_blocks(targets, eta)
             for l in block for lp in block

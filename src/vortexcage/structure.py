@@ -9,13 +9,14 @@ built on also measures how much of each band lies beyond a grid's r_max.
 
 Evaluation builds one table of Y_lm and its two angular derivatives over
 all (l, m) up to the largest l requested, and contracts each orbital's
-(2l+1)-entry coefficient block against it, so one-hot and symmetry-table
-orbitals share one path.  On a QuadratureGrid the radial parts are taken on
-the radial nodes and the angular parts on the angular nodes only.  For the
-same reason the Gram matrix on a product grid factorises exactly:
-<psi_i|psi_j> = G_rad[b_i, b_j] * G_ang[i, j], a band Gram over the radial
+(2l+1)-entry coefficient block against it (``angular_tables``), so one-hot
+and symmetry-table orbitals share one path.  On a QuadratureGrid the radial
+parts are taken on the radial nodes and the angular parts on the angular
+nodes only.  For the same reason product-grid integrals factorise: the Gram
+<psi_i|psi_j> = G_rad[b_i, b_j] * G_ang[i, j] is a band Gram over the radial
 rule times the Gram of the angular parts over the angular rule, so
-``product_grid_gram`` tabulates no orbital on the full grid.
+``product_grid_gram``, like ``coupling.interaction_matrix``, tabulates no
+orbital on the full grid.
 """
 
 from __future__ import annotations
@@ -33,6 +34,7 @@ __all__ = [
     "Basis",
     "Orbital",
     "SymmetryTable",
+    "angular_tables",
     "build_basis",
     "default_bands",
     "degenerate_groups",
@@ -314,16 +316,14 @@ _ORIGIN_LIMITS = np.array([[_Y00, 0.0, 0.0, _Y00],
                            [0.0, -_C1, -1j * _C1, 0.0]])    # m = +1
 
 
-def orbital_tables(basis: Basis, orbitals, points, axes=(0, 1, 2)):
+def orbital_tables(basis: Basis, orbitals, points):
     """Vectorized values and gradients for a set of orbitals.
 
     ``points`` is a QuadratureGrid, read as its radial nodes times its
     angular nodes (joined by broadcasting in ``points`` order), or an
-    (n, 3) array with one radius and direction per point.  ``axes`` names
-    the Cartesian gradient components to build (0, 1, 2 for x, y, z).
-    Returns (psi, grad) with shapes (n_orb, n_pts) and (n_orb, n_pts,
-    len(axes)); column i of grad is d/d(axes[i]).  At r = 0 the
-    (regularized) +z-axis limit is used: psi vanishes for l >= 1, the
+    (n, 3) array with one radius and direction per point.  Returns
+    (psi, grad) with shapes (n_orb, n_pts) and (n_orb, n_pts, 3).  At r = 0
+    the (regularized) +z-axis limit is used: psi vanishes for l >= 1, the
     gradient for l >= 2.
     """
     orbitals = list(orbitals)
@@ -337,51 +337,67 @@ def orbital_tables(basis: Basis, orbitals, points, axes=(0, 1, 2)):
         # blocks of points keep the per-point harmonic tables small
         n_pts, step = len(r), 8192
     psi = np.empty((len(orbitals), n_pts), dtype=complex)
-    axes = list(axes)
-    grad = np.empty((len(orbitals), n_pts, len(axes)), dtype=complex)
+    grad = np.empty((len(orbitals), n_pts, 3), dtype=complex)
     for i in range(0, n_pts, step):
-        _fill_tables(basis, orbitals, r[i:i + step], dirs[i:i + step], axes,
+        _fill_tables(basis, orbitals, r[i:i + step], dirs[i:i + step],
                      psi[:, i:i + step], grad[:, i:i + step])
     return psi, grad
 
 
-def _angles(dirs):
-    """cos theta, sin theta and phi of unit directions (n, 3)."""
+def _angular_parts(orbitals, dirs):
+    """Yield (Y, T) of each orbital at unit directions dirs (n, 3): its
+    angular part Y = sum_m C_m Y_lm, shape (n,), and T = r grad Y, the
+    tangential gradient theta-hat dY/dtheta + phi-hat dY/dphi / sin theta,
+    shape (n, 3).  The harmonic tables are built once for all orbitals."""
     ct = np.clip(dirs[:, 2], -1.0, 1.0)
-    return ct, np.sqrt(np.maximum(0.0, 1.0 - ct * ct)), np.arctan2(
+    st, phi = np.sqrt(np.maximum(0.0, 1.0 - ct * ct)), np.arctan2(
         dirs[:, 1], dirs[:, 0])
-
-
-def _fill_tables(basis, orbitals, r, dirs, axes, psi, grad):
-    """Write the orbitals at the broadcast product of radii r and unit
-    directions dirs into psi (n_orb, n) and the gradient components
-    ``axes`` into grad (n_orb, n, len(axes))."""
-    ct, st, phi = _angles(dirs)
     lmax = max((o.l for o in orbitals), default=0)
     y, dth, dph = _harmonic_tables(lmax, ct, st, phi)
-    that = np.stack([ct * np.cos(phi), ct * np.sin(phi), -st], axis=1)[:, axes]
-    phat = np.stack([-np.sin(phi), np.cos(phi), np.zeros_like(phi)],
-                    axis=1)[:, axes]
-    rhat = dirs[:, axes]
+    that = np.stack([ct * np.cos(phi), ct * np.sin(phi), -st], axis=1)
+    phat = np.stack([-np.sin(phi), np.cos(phi), np.zeros_like(phi)], axis=1)
+    for orb in orbitals:
+        rows, c = slice(orb.l ** 2, (orb.l + 1) ** 2), orb.coeffs
+        yield c @ y[rows], ((c @ dth[rows])[:, None] * that
+                            + (c @ dph[rows])[:, None] * phat)
+
+
+def angular_tables(orbitals, dirs):
+    """Angular parts Y (n_orb, n) and tangential gradients T = r grad Y
+    (n_orb, n, 3) of the orbitals at unit directions dirs (n, 3).
+
+    An orbital is R_b(r) Y, so its gradient is R_b' Y r-hat + (R_b / r) T.
+    """
+    orbitals = list(orbitals)
+    y = np.empty((len(orbitals), len(dirs)), dtype=complex)
+    t = np.empty((len(orbitals), len(dirs), 3), dtype=complex)
+    for k, (ang, tang) in enumerate(_angular_parts(orbitals, dirs)):
+        y[k], t[k] = ang, tang
+    return y, t
+
+
+def _fill_tables(basis, orbitals, r, dirs, psi, grad):
+    """Write the orbitals at the broadcast product of radii r and unit
+    directions dirs into psi (n_orb, n) and grad (n_orb, n, 3), one orbital
+    at a time."""
     rad = basis.shells.values(r.ravel()).reshape((-1,) + r.shape)
     drad = basis.shells.derivatives(r.ravel()).reshape((-1,) + r.shape)
     inv_r = 1.0 / np.where(r > 0.0, r, 1.0)
-    shape = np.broadcast_shapes(r.shape, ct.shape)
+    shape = np.broadcast_shapes(r.shape, (len(dirs),))
     origin = np.flatnonzero(np.broadcast_to(r == 0.0, shape))
+    lmax = max((o.l for o in orbitals), default=0)
     lim = np.zeros(((lmax + 2) ** 2, 4), dtype=complex)
     lim[:4] = _ORIGIN_LIMITS
-    lim = lim[:, [0] + [1 + a for a in axes]]
     rad0 = basis.shells.values(np.zeros(1))[:, 0]
     drad0 = basis.shells.derivatives(np.zeros(1))[:, 0]
-    for k, orb in enumerate(orbitals):
-        rows, b, c = slice(orb.l ** 2, (orb.l + 1) ** 2), orb.band_pos, orb.coeffs
-        ang = c @ y[rows]
-        tang = (c @ dth[rows])[:, None] * that + (c @ dph[rows])[:, None] * phat
+    parts = _angular_parts(orbitals, dirs)
+    for k, (orb, (ang, tang)) in enumerate(zip(orbitals, parts)):
+        b = orb.band_pos
         np.multiply(rad[b], ang, out=psi[k].reshape(shape))
-        g = grad[k].reshape(shape + (len(axes),))
-        np.multiply(drad[b][..., None], ang[:, None] * rhat, out=g)
+        g = grad[k].reshape(shape + (3,))
+        np.multiply(drad[b][..., None], ang[:, None] * dirs, out=g)
         g += (rad[b] * inv_r)[..., None] * tang
-        at0 = c @ lim[rows]
+        at0 = orb.coeffs @ lim[orb.l ** 2:(orb.l + 1) ** 2]
         psi[k, origin] = rad0[b] * at0[0]
         grad[k, origin] = drad0[b] * at0[1:]
 
@@ -399,9 +415,7 @@ def product_grid_gram(basis: Basis, orbitals,
     orbitals = list(orbitals)
     rad = basis.shells.values(grid.radial_nodes)
     g_rad = (rad * grid.radial_weights) @ rad.T
-    lmax = max((o.l for o in orbitals), default=0)
-    y = _harmonic_tables(lmax, *_angles(grid.angular_nodes))[0]
-    ang = np.array([o.coeffs @ y[o.l ** 2:(o.l + 1) ** 2] for o in orbitals])
+    ang = angular_tables(orbitals, grid.angular_nodes)[0]
     g_ang = (ang.conj() * grid.angular_weights) @ ang.T
     bands = [o.band_pos for o in orbitals]
     return g_rad[np.ix_(bands, bands)] * g_ang

@@ -46,13 +46,8 @@ def pulse_m1():
 
 
 @pytest.fixture(scope="session")
-def tables(basis, grid):
-    return coupling.transition_tables(basis, grid)
-
-
-@pytest.fixture(scope="session")
-def ts_m1(tables, pulse_m1):
-    return coupling.build_transition_set(tables, pulse_m1)
+def ts_m1(basis, grid, pulse_m1):
+    return coupling.build_transition_set(basis, grid, pulse_m1)
 
 
 @pytest.fixture(scope="session")

@@ -55,16 +55,11 @@ def agrid():
 
 
 @pytest.fixture(scope="module")
-def atables(abasis, agrid):
-    return coupling.transition_tables(abasis, agrid)
-
-
-@pytest.fixture(scope="module")
-def charge_data(abasis, agrid, atables):
+def charge_data(abasis, agrid):
     """B(m), m_z(m) and fields for m = 0..10 at the vortex core, resonant."""
     out = {}
     for m in range(0, 11):
-        ts = coupling.build_transition_set(atables, pulse_for(m))
+        ts = coupling.build_transition_set(abasis, agrid, pulse_for(m))
         exc = dynamics.excite(ts, abasis)
         field = observables.sample_current(exc, abasis, agrid)
         mag = observables.magnetics(field, warn=False)
@@ -73,8 +68,8 @@ def charge_data(abasis, agrid, atables):
 
 
 @pytest.fixture(scope="module")
-def selection_sets(atables):
-    return {m: coupling.build_transition_set(atables, pulse_for(m),
+def selection_sets(abasis, agrid):
+    return {m: coupling.build_transition_set(abasis, agrid, pulse_for(m),
                                        prune=False)
             for m in range(0, 10)}
 
@@ -142,11 +137,11 @@ def test_04_cutoff_charge(charge_data):
                   f"{resp[cutoff + 1] / peak:.2e} (tolerance 1e-10)")
 
 
-def test_05_sign_antisymmetry(abasis, agrid, atables, charge_data):
+def test_05_sign_antisymmetry(abasis, agrid, charge_data):
     worst = 0.0
     for m in (1, 2, 3):
         plus = charge_data[m]["mag"].moment_au[2]
-        ts = coupling.build_transition_set(atables, pulse_for(-m))
+        ts = coupling.build_transition_set(abasis, agrid, pulse_for(-m))
         exc = dynamics.excite(ts, abasis)
         field = observables.sample_current(exc, abasis, agrid)
         minus = observables.magnetic_moment(field)[2]
@@ -156,9 +151,9 @@ def test_05_sign_antisymmetry(abasis, agrid, atables, charge_data):
            f"{worst:.2e} (tolerance 1e-8)")
 
 
-def test_06_intensity_scaling(abasis, agrid, atables, charge_data):
+def test_06_intensity_scaling(abasis, agrid, charge_data):
     full = charge_data[1]["mag"]
-    ts = coupling.build_transition_set(atables,
+    ts = coupling.build_transition_set(abasis, agrid,
                                        pulse_for(1, a0=default_a0() / 2))
     exc = dynamics.excite(ts, abasis)
     field = observables.sample_current(exc, abasis, agrid)
@@ -179,8 +174,7 @@ def test_07_perturbation_vs_oracle():
     grid = numerics.build_grid(0.0, 26.8, 160, 12, l_basis_max=2)
     pulse = beam.VortexPulse(a0=0.004, m_oam=1, omega=ev_to_hartree(GAP_EV),
                              delta=DELTA, waist=WAIST)
-    ts = coupling.build_transition_set(
-        coupling.transition_tables(basis, grid), pulse)
+    ts = coupling.build_transition_set(basis, grid, pulse)
     pops = dynamics.excite(ts, basis).populations()
     dt = 0.04 * 2 * math.pi / pulse.omega
     coeffs, states = dynamics.propagate_oracle(basis, pulse, grid, dt)
@@ -246,8 +240,7 @@ def test_11_order_of_magnitude(charge_data):
             pulse = beam.VortexPulse(
                 a0=field_amplitude_au(3.0e13) / ev_to_hartree(gap), m_oam=1,
                 omega=ev_to_hartree(gap), delta=DELTA, waist=WAIST)
-            ts = coupling.build_transition_set(
-                coupling.transition_tables(basis, grid), pulse)
+            ts = coupling.build_transition_set(basis, grid, pulse)
             exc = dynamics.excite(ts, basis)
             field = observables.sample_current(exc, basis, grid)
             mag = observables.magnetics(field, warn=False)
@@ -275,7 +268,7 @@ def test_12_charge_profile(charge_data):
                    f"{cutoff}")
 
 
-def test_13_offset_smoothness(abasis, agrid, atables):
+def test_13_offset_smoothness(abasis, agrid):
     # fixed resonant frequency on a delta-l = 2 line (band-2 l=0 to band-3
     # l=2); the moment must stay within one order of magnitude across the
     # spot positions
@@ -287,7 +280,7 @@ def test_13_offset_smoothness(abasis, agrid, atables):
         rho0 = ratio * beam.rho_max(1, WAIST)
         pulse = beam.VortexPulse(a0=default_a0(), m_oam=1, omega=omega,
                                  delta=DELTA, waist=WAIST, offset=(rho0, 0.0))
-        ts = coupling.build_transition_set(atables, pulse)
+        ts = coupling.build_transition_set(abasis, agrid, pulse)
         exc = dynamics.excite(ts, abasis)
         field = observables.sample_current(exc, abasis, agrid)
         vals[ratio] = abs(observables.magnetic_moment(field)[2])

@@ -177,8 +177,8 @@ class TestScanTabulation:
     ])
     def test_orbitals_tabulated_once_per_grid(self, tmp_path, monkeypatch,
                                               command, many, one):
-        # the orbitals do not depend on the pulse: more families must not
-        # mean more tabulations
+        # the transition sets tabulate no orbital; the one scan kernel
+        # tabulates the targets once, however many families there are
         calls = []
         tabulate = structure.orbital_tables
 
@@ -195,7 +195,7 @@ class TestScanTabulation:
                              command]) == 0
             assert all(calls)                   # product grid only
             counts.append(len(calls))
-        assert counts[0] == counts[1] <= 2
+        assert counts[0] == counts[1] == 1
 
 
 class TestPlanesCommand:
@@ -313,6 +313,18 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert err.startswith("configuration error: ")
         assert err.count("\n") == 1
+        assert not out.exists()
+
+    @pytest.mark.parametrize("r_cut", ["100", "26.8"])
+    def test_cutoff_beyond_grid_refused(self, tmp_path, capsys, r_cut):
+        # the default grid ends at r_max = 4 * 6.7 = 26.8 bohr; a cutoff
+        # there or beyond would leave no point for the Biot-Savart sum
+        out = tmp_path / "out"
+        assert cli.main(["--out", str(out), "--override",
+                         f"numerics.r_cut_bohr={r_cut}", "spectrum"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("configuration error: numerics.r_cut_bohr")
+        assert "r_max = 26.8 bohr" in err
         assert not out.exists()
 
     @pytest.mark.parametrize("argv", [

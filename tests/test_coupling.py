@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from vortexcage import beam, coupling, structure
+from vortexcage import beam, coupling, numerics, structure
 
 from conftest import WAIST, make_pulse
 
@@ -86,9 +86,9 @@ class TestApplyInteraction:
 
 
 class TestMatrixElement:
-    def test_gaussian_beam_dipole_selection(self, basis, tables):
+    def test_gaussian_beam_dipole_selection(self, basis, grid):
         pulse = make_pulse(0)
-        ts = coupling.build_transition_set(tables, pulse, prune=False)
+        ts = coupling.build_transition_set(basis, grid, pulse, prune=False)
         mmax = ts.max_abs()
         for jr, j in enumerate(ts.unoccupied):
             for kc, k in enumerate(ts.occupied):
@@ -96,9 +96,9 @@ class TestMatrixElement:
                 if dm not in (-1, 1):
                     assert abs(ts.matrix[jr, kc]) < 1e-12 * mmax
 
-    def test_vortex_m2_selection(self, basis, tables):
+    def test_vortex_m2_selection(self, basis, grid):
         pulse = make_pulse(2)
-        ts = coupling.build_transition_set(tables, pulse, prune=False)
+        ts = coupling.build_transition_set(basis, grid, pulse, prune=False)
         mmax = ts.max_abs()
         for jr, j in enumerate(ts.unoccupied):
             for kc, k in enumerate(ts.occupied):
@@ -106,10 +106,10 @@ class TestMatrixElement:
                 if dm not in (1, 3):
                     assert abs(ts.matrix[jr, kc]) < 1e-12 * mmax
 
-    def test_parity_selection(self, basis, tables):
+    def test_parity_selection(self, basis, grid):
         for m_oam in (1, 2):
             pulse = make_pulse(m_oam)
-            ts = coupling.build_transition_set(tables, pulse, prune=False)
+            ts = coupling.build_transition_set(basis, grid, pulse, prune=False)
             mmax = ts.max_abs()
             for jr, j in enumerate(ts.unoccupied):
                 for kc, k in enumerate(ts.occupied):
@@ -117,11 +117,11 @@ class TestMatrixElement:
                     if (ok.l + oj.l + abs(m_oam) + 1) % 2 == 1:
                         assert abs(ts.matrix[jr, kc]) < 1e-10 * mmax
 
-    def test_offset_beam_dipole_dominance(self, basis, tables):
+    def test_offset_beam_dipole_dominance(self, basis, grid):
         # at rho0 = rho_max the molecule sees a locally plane wave, so
         # |delta l| = 1 entries dominate all others by >= 10x
         pulse = make_pulse(1, rho0=beam.rho_max(1, make_pulse(1).waist))
-        ts = coupling.build_transition_set(tables, pulse, prune=False)
+        ts = coupling.build_transition_set(basis, grid, pulse, prune=False)
         dip, rest = 0.0, 0.0
         for jr, j in enumerate(ts.unoccupied):
             for kc, k in enumerate(ts.occupied):
@@ -139,20 +139,21 @@ class TestTransitionSet:
         assert len(ts_m1.occupied) == 30
         assert len(ts_m1.unoccupied) == 16
 
-    def test_zero_amplitude(self, tables):
+    def test_zero_amplitude(self, basis, grid):
         pulse = make_pulse(1, a0=0.0)
-        ts = coupling.build_transition_set(tables, pulse)
+        ts = coupling.build_transition_set(basis, grid, pulse)
         assert not np.any(ts.matrix)
 
-    def test_linearity_in_a0(self, tables):
-        t1 = coupling.build_transition_set(tables, make_pulse(2, a0=0.03),
-                                           prune=False)
-        t2 = coupling.build_transition_set(tables, make_pulse(2, a0=0.06),
-                                           prune=False)
+    def test_linearity_in_a0(self, basis, grid):
+        t1 = coupling.build_transition_set(basis, grid,
+                                           make_pulse(2, a0=0.03), prune=False)
+        t2 = coupling.build_transition_set(basis, grid,
+                                           make_pulse(2, a0=0.06), prune=False)
         assert np.abs(t2.matrix - 2.0 * t1.matrix).max() == 0.0
 
-    def test_pruning_bookkeeping(self, tables):
-        ts = coupling.build_transition_set(tables, make_pulse(1), prune=True)
+    def test_pruning_bookkeeping(self, basis, grid):
+        ts = coupling.build_transition_set(basis, grid, make_pulse(1),
+                                           prune=True)
         scale = ts.max_abs()
         for jr, kc in ts.pruned:
             assert ts.matrix[jr, kc] == 0.0
@@ -179,10 +180,10 @@ class TestTransitionSet:
         monkeypatch.setattr(structure, "orbital_tables", spy)
         orbs = basis.band_orbitals(3)
         shared = coupling.interaction_matrix(pulse_m1, basis, orbs, orbs, grid)
-        assert len(calls) == 1
         separate = coupling.interaction_matrix(pulse_m1, basis, list(orbs),
                                                list(orbs), grid)
-        assert len(calls) == 3
+        coupling.build_transition_set(basis, grid, pulse_m1)
+        assert calls == []      # the factored path tabulates no orbital
         assert np.array_equal(shared, separate)
 
     def test_requires_orbitals(self, grid):
@@ -191,7 +192,7 @@ class TestTransitionSet:
         bands[1] = dataclasses.replace(bands[1], electron_count=0)
         empty = structure.build_basis(tuple(bands))
         with pytest.raises(ValueError):
-            coupling.transition_tables(empty, grid)
+            coupling.build_transition_set(empty, grid, make_pulse(1))
 
     def test_translation_consistency(self, basis, grid, pulse_m1):
         # substituting u = r - rho0: a beam offset by +rho0 integrated in
@@ -243,8 +244,8 @@ class TestTransitionSet:
 
 
 class TestTransitionTables:
-    def test_matches_pointwise_operator(self, basis, grid, tables):
-        # the matmul contraction against the quadrature sum of the
+    def test_matches_pointwise_operator(self, basis, grid):
+        # the factored contraction against the quadrature sum of the
         # pointwise operator, at each live set's own scale; m >= 9 lies
         # above the selection-rule ceiling (m = 8), so those sets are
         # roundoff and are held to the m = +1 scale
@@ -252,7 +253,7 @@ class TestTransitionTables:
         bra = structure.orbital_tables(basis, targets, grid)[0].conj()
 
         def deviation(pulse):
-            got = coupling.build_transition_set(tables, pulse,
+            got = coupling.build_transition_set(basis, grid, pulse,
                                                 prune=False).matrix
             ref = np.einsum("jn,n,kn->jk", bra, grid.weights,
                             apply_operator(pulse, sources, basis, grid))
@@ -270,12 +271,31 @@ class TestTransitionTables:
             assert scale < 1e-20 * floor
             assert dev <= 1e-13 * floor
 
-    def test_reused_tables_match_fresh(self, basis, grid, tables):
+    def test_reused_tables_match_fresh(self, basis, grid):
         for pulse in (make_pulse(1), make_pulse(3, rho0=40.0)):
-            shared = coupling.build_transition_set(tables, pulse)
-            fresh = coupling.build_transition_set(
-                coupling.transition_tables(basis, grid), pulse)
+            shared = coupling.build_transition_set(basis, grid, pulse)
+            fresh = coupling.build_transition_set(basis, grid, pulse)
             assert np.array_equal(shared.matrix, fresh.matrix)
             assert shared.pruned == fresh.pruned
             assert (shared.occupied, shared.unoccupied) == \
                 (fresh.occupied, fresh.unoccupied)
+
+
+class TestBandPairBlocks:
+    @pytest.mark.parametrize("which", ["basis", "symmetry_basis"])
+    @pytest.mark.parametrize("field", ["centred", "offset", "uniform"])
+    def test_matches_pointwise_operator(self, request, which, field):
+        # bands 2 + 3 as rows and columns: every (row band, column band)
+        # block of the factored sums against the pointwise quadrature.  Both
+        # sides sum the same product grid, so a coarse one suffices.
+        basis = request.getfixturevalue(which)
+        field = {"centred": make_pulse(1),
+                 "offset": make_pulse(1, rho0=beam.rho_max(1, WAIST)),
+                 "uniform": UniformField(0.7)}[field]
+        grid = numerics.build_grid(0.0, 26.8, 40, 16)
+        orbs = basis.band_orbitals(2) + basis.band_orbitals(3)
+        got = coupling.interaction_matrix(field, basis, orbs, orbs, grid)
+        bra = structure.orbital_tables(basis, orbs, grid)[0].conj()
+        ref = np.einsum("jn,n,kn->jk", bra, grid.weights,
+                        apply_operator(field, orbs, basis, grid))
+        assert np.abs(got - ref).max() <= 1e-13 * np.abs(ref).max()

@@ -51,11 +51,11 @@ class TestSpectralFactor:
 
 
 class TestExcite:
-    def test_first_order_scaling(self, basis, tables):
+    def test_first_order_scaling(self, basis, grid):
         e1 = dynamics.excite(coupling.build_transition_set(
-            tables, make_pulse(1, a0=0.02)), basis)
+            basis, grid, make_pulse(1, a0=0.02)), basis)
         e2 = dynamics.excite(coupling.build_transition_set(
-            tables, make_pulse(1, a0=0.04)), basis)
+            basis, grid, make_pulse(1, a0=0.04)), basis)
         p1, p2 = e1.populations(), e2.populations()
         mask = p1 > 0
         assert np.allclose(p2[mask] / p1[mask], 4.0, rtol=1e-12)
@@ -68,17 +68,17 @@ class TestExcite:
         assert exc_far.populations().max() < \
             1e-30 * exc_m1.populations().max()
 
-    def test_default_intensity_within_validity(self, basis, tables):
+    def test_default_intensity_within_validity(self, basis, grid):
         # reference intensity at the vortex core stays perturbative
         omega = ev_to_hartree(8.0)
         a0 = (3.0e13 / 3.50944758e16) ** 0.5 / omega
-        ts = coupling.build_transition_set(tables, make_pulse(1, a0=a0))
+        ts = coupling.build_transition_set(basis, grid, make_pulse(1, a0=a0))
         exc = dynamics.excite(ts, basis)
         assert exc.validity_metric < dynamics.VALIDITY_THRESHOLD
         assert not exc.breakdown
 
-    def test_breakdown_flag(self, basis, tables):
-        ts = coupling.build_transition_set(tables, make_pulse(1, a0=5.0))
+    def test_breakdown_flag(self, basis, grid):
+        ts = coupling.build_transition_set(basis, grid, make_pulse(1, a0=5.0))
         exc = dynamics.excite(ts, basis)
         assert exc.validity_metric > dynamics.VALIDITY_THRESHOLD
         assert exc.breakdown
@@ -128,8 +128,7 @@ class TestPropagationOracle:
 
     def _population_dev(self, a0):
         basis, grid, pulse = self.make(a0)
-        ts = coupling.build_transition_set(
-            coupling.transition_tables(basis, grid), pulse)
+        ts = coupling.build_transition_set(basis, grid, pulse)
         pops = dynamics.excite(ts, basis).populations()
         dt = 0.04 * 2 * math.pi / pulse.omega
         coeffs, states = dynamics.propagate_oracle(basis, pulse, grid, dt)

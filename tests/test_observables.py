@@ -12,9 +12,9 @@ from vortexcage.units import MU0_OVER_4PI_AU
 from conftest import make_pulse
 
 
-def run_excitation(basis, tables, m_oam, omega_ev=8.0, a0=0.05, rho0=0.0):
+def run_excitation(basis, grid, m_oam, omega_ev=8.0, a0=0.05, rho0=0.0):
     ts = coupling.build_transition_set(
-        tables, make_pulse(m_oam, omega_ev=omega_ev, a0=a0, rho0=rho0))
+        basis, grid, make_pulse(m_oam, omega_ev=omega_ev, a0=a0, rho0=rho0))
     return dynamics.excite(ts, basis)
 
 
@@ -31,8 +31,8 @@ def field_m1(basis, grid, exc_m1):
 
 
 class TestDcCurrent:
-    def test_null_for_gaussian_beam(self, basis, grid, tables, field_m1):
-        exc0 = run_excitation(basis, tables, 0)
+    def test_null_for_gaussian_beam(self, basis, grid, field_m1):
+        exc0 = run_excitation(basis, grid, 0)
         f0 = observables.sample_current(exc0, basis, grid)
         assert np.abs(f0.j).max() < 1e-12 * np.abs(field_m1.j).max()
 
@@ -66,8 +66,8 @@ class TestDcCurrent:
             assert np.abs(j - expected_mag * phi_hat).max() < 1e-12 * \
                 max(expected_mag, 1e-30)
 
-    def test_sign_flip_with_charge(self, basis, grid, tables, field_m1):
-        exc_neg = run_excitation(basis, tables, -1)
+    def test_sign_flip_with_charge(self, basis, grid, field_m1):
+        exc_neg = run_excitation(basis, grid, -1)
         f_neg = observables.sample_current(exc_neg, basis, grid)
         assert np.abs(f_neg.j + field_m1.j).max() < 1e-10 * np.abs(field_m1.j).max()
 
@@ -80,11 +80,11 @@ class TestDcCurrent:
             observables.sample_current(exc_m1, basis, grid,
                                        charge_convention="positron")
 
-    def test_quadratic_amplitude_scaling(self, basis, grid, tables):
+    def test_quadratic_amplitude_scaling(self, basis, grid):
         f1 = observables.sample_current(
-            run_excitation(basis, tables, 1, a0=0.02), basis, grid)
+            run_excitation(basis, grid, 1, a0=0.02), basis, grid)
         f2 = observables.sample_current(
-            run_excitation(basis, tables, 1, a0=0.04), basis, grid)
+            run_excitation(basis, grid, 1, a0=0.04), basis, grid)
         assert np.abs(f2.j - 4.0 * f1.j).max() < 1e-10 * np.abs(f2.j).max()
 
     def test_divergence_free_flux(self, basis, grid, exc_m1):
@@ -115,7 +115,7 @@ class TestDcCurrent:
 
 
 class TestResonancePositions:
-    def test_charges_share_transition_lines(self, basis, grid, tables):
+    def test_charges_share_transition_lines(self, basis, grid):
         # resonances sit at the band gaps, which do not depend on the
         # topological charge: every charge peaks at the same photon
         # energies (each line is a local maximum of |m_z(omega)| for each m)
@@ -138,7 +138,7 @@ class TestResonancePositions:
 
         for m in (1, 2, 3):
             rho0 = 0.2 * beam.rho_max(m, make_pulse(m).waist)
-            ts = coupling.build_transition_set(tables,
+            ts = coupling.build_transition_set(basis, grid,
                                                make_pulse(m, rho0=rho0))
             on_line = [moment_at(ts, w) for w in lines]
             scale = max(on_line)
@@ -155,8 +155,8 @@ class TestCylindricalDecomposition:
         assert jr < 1e-6 * jp
         assert jz < 1e-6 * jp
 
-    def test_null_for_gaussian(self, basis, grid, tables):
-        exc0 = run_excitation(basis, tables, 0)
+    def test_null_for_gaussian(self, basis, grid):
+        exc0 = run_excitation(basis, grid, 0)
         f0 = observables.sample_current(exc0, basis, grid)
         assert all(v < 1e-25 for v in observables.cylindrical_decomposition(f0))
 
@@ -243,8 +243,8 @@ class TestMagnetics:
 
 
 class TestPlanes:
-    def test_zero_lattice_for_gaussian(self, basis, tables):
-        exc0 = run_excitation(basis, tables, 0)
+    def test_zero_lattice_for_gaussian(self, basis, grid):
+        exc0 = run_excitation(basis, grid, 0)
         _, j = observables.sample_current_plane(exc0, basis, "xy", 15.0, 32)
         assert np.abs(j).max() < 1e-30
 
@@ -375,16 +375,16 @@ def compare_kernel_to_sampled(kernel, exc, basis, grid,
 
 @pytest.fixture(scope="module")
 def symmetry_setup(symmetry_basis, grid):
-    tables = coupling.transition_tables(symmetry_basis, grid)
-    return coupling.build_transition_set(tables, make_pulse(1)), \
-        observables.scan_kernel(tables)
+    return coupling.build_transition_set(symmetry_basis, grid,
+                                         make_pulse(1)), \
+        observables.scan_kernel(symmetry_basis, grid)
 
 
 class TestScanKernel:
     @pytest.mark.parametrize("charge_convention", ["electron", "probability"])
-    def test_centred_matches_sampled(self, basis, grid, tables, ts_m1,
+    def test_centred_matches_sampled(self, basis, grid, ts_m1,
                                      charge_convention):
-        kernel = observables.scan_kernel(tables,
+        kernel = observables.scan_kernel(basis, grid,
                                          charge_convention=charge_convention)
         assert len(kernel.left) == len(ts_m1.unoccupied)   # 1-D blocks
         for omega_ev in (5.0, 7.75, 8.0, 11.25, 15.0):
@@ -399,10 +399,11 @@ class TestScanKernel:
             assert mag.effective_radius == pytest.approx(
                 ref.effective_radius, rel=1e-12)
 
-    def test_offset_beam_matches_sampled(self, basis, grid, tables):
+    def test_offset_beam_matches_sampled(self, basis, grid):
         rho0 = 1.0 * beam.rho_max(1, make_pulse(1).waist)
-        ts = coupling.build_transition_set(tables, make_pulse(1, rho0=rho0))
-        kernel = observables.scan_kernel(tables)
+        ts = coupling.build_transition_set(basis, grid,
+                                           make_pulse(1, rho0=rho0))
+        kernel = observables.scan_kernel(basis, grid)
         for omega_ev in (7.75, 8.0, 10.5):
             compare_kernel_to_sampled(kernel, at_omega(ts, omega_ev, basis),
                                       basis, grid)
@@ -431,11 +432,8 @@ class TestScanKernel:
                                   amplitudes=amps)
         compare_kernel_to_sampled(kernel, exc, symmetry_basis, grid)
 
-    def test_refuses_other_targets(self, tables, exc_m1):
-        fewer = dataclasses.replace(
-            tables, targets=tables.targets[:-1],
-            target_psi=tables.target_psi[:-1],
-            target_grad=tables.target_grad[:-1])
-        kernel = observables.scan_kernel(fewer)
+    def test_refuses_other_targets(self, basis, grid, exc_m1):
+        kernel = observables.scan_kernel(basis, grid)
+        kernel = dataclasses.replace(kernel, targets=kernel.targets[:-1])
         with pytest.raises(ValueError):
             kernel.observables(exc_m1)

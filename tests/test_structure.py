@@ -264,22 +264,6 @@ class TestEvaluationLayouts:
             scale = np.abs(b).max(axis=axes)
             assert np.all(np.abs(a - b).max(axis=axes) <= 1e-13 * scale)
 
-    @pytest.mark.parametrize("layout", ["grid", "points"])
-    def test_gradient_axes_are_columns_of_full_gradient(self, basis, layout):
-        grid = numerics.build_grid(0.0, 26.8, 16, 2 * basis.l_max + 4)
-        points = grid
-        if layout == "points":
-            # the origin and a pole take the regularized limits
-            points = np.vstack([np.zeros((1, 3)), [[0.0, 0.0, -2.0]],
-                                grid.points[::97]])
-        psi, grad = structure.orbital_tables(basis, basis.orbitals, points)
-        for axes in ((0,), (2,), ()):
-            psi_a, grad_a = structure.orbital_tables(basis, basis.orbitals,
-                                                     points, axes=axes)
-            assert grad_a.shape == psi.shape + (len(axes),)
-            assert np.array_equal(psi_a, psi)
-            assert np.array_equal(grad_a, grad[:, :, list(axes)])
-
     @settings(max_examples=60, deadline=None)
     @given(l=st.integers(0, 3), band_pos=st.integers(0, 2),
            seed=st.integers(0, 2**32 - 1),
