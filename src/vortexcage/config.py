@@ -20,7 +20,7 @@ from . import structure
 from .beam import VortexPulse, delta_from_fwhm_fs, rho_max
 from .coupling import transition_orbitals
 from .numerics import build_grid, check_grid_args
-from .observables import plane_lattice
+from .observables import MIN_PLANE_RESOLUTION
 from .units import ev_to_hartree, field_amplitude_au, nm_to_bohr
 
 __all__ = ["ConfigError", "RunConfig", "config_hash", "load_config"]
@@ -246,10 +246,11 @@ class RunConfig:
     @classmethod
     def resolve(cls, cfg: dict) -> "RunConfig":
         """Unit-converted setup.  Values that the symmetry-table loader or
-        the basis, pulse, grid and plane-lattice constructors refuse, a
-        basis with no transitions, a grid that cuts off more than 1e-8 of
-        a band's squared norm, and a Biot-Savart cutoff that excludes the
-        whole grid raise ConfigError here, before any command starts."""
+        the basis, pulse and grid constructors refuse, a plane resolution
+        below ``MIN_PLANE_RESOLUTION``, a basis with no transitions, a grid
+        that cuts off more than 1e-8 of a band's squared norm, and a
+        Biot-Savart cutoff that excludes the whole grid raise ConfigError
+        here, before any command starts."""
         try:
             run = cls._convert(cfg)
             transition_orbitals(run.basis)
@@ -269,8 +270,9 @@ class RunConfig:
                     f"numerics.r_cut_bohr = {run.r_cut:.4g} bohr leaves no "
                     f"grid point for the Biot-Savart field (r_max = "
                     f"{run.r_max:.4g} bohr)")
-            plane_lattice("xy", cfg["scan"]["plane_extent_bohr"],
-                          cfg["scan"]["plane_resolution"])
+            if cfg["scan"]["plane_resolution"] < MIN_PLANE_RESOLUTION:
+                raise ValueError(f"scan.plane_resolution must be at least "
+                                 f"{MIN_PLANE_RESOLUTION}")
         except (OSError, ValueError) as exc:
             raise ConfigError(str(exc)) from None
         return run

@@ -1,4 +1,4 @@
-"""Quadrature grids, orthonormal special functions, finite differences.
+"""Quadrature grids and orthonormal special functions.
 
 Everything here is pure and operates on immutable inputs; grids are
 read-only containers safe to share between threads.
@@ -14,7 +14,6 @@ import numpy as np
 __all__ = [
     "QuadratureGrid",
     "build_grid",
-    "central_difference_gradient",
     "check_grid_args",
     "laguerre",
     "legendre_q_tables",
@@ -195,14 +194,3 @@ def refined_grid(grid: QuadratureGrid) -> QuadratureGrid:
     """
     return build_grid(grid.r_min, grid.r_max, grid.n_radial * 3 // 2,
                       grid.angular_order + 6)
-
-
-def central_difference_gradient(f, point, h: float = 1e-4) -> np.ndarray:
-    """Second-order central-difference gradient of a scalar field sampler."""
-    point = np.asarray(point, dtype=float)
-    grad = np.empty(3, dtype=complex)
-    for i in range(3):
-        step = np.zeros(3)
-        step[i] = h
-        grad[i] = (f(point + step) - f(point - step)) / (2.0 * h)
-    return grad

@@ -56,6 +56,7 @@ __all__ = [
 ]
 
 DEFAULT_R_CUT = 0.5   # bohr, Biot-Savart origin exclusion
+MIN_PLANE_RESOLUTION = 32
 
 
 class CutoffLeakWarning(UserWarning):
@@ -210,12 +211,17 @@ def scan_kernel(basis, grid, eta: float = DEFAULT_ETA,
 
 def plane_lattice(plane: str, extent: float, resolution: int) -> np.ndarray:
     """Regular (resolution, resolution, 3) lattice in the xy or xz plane
-    through the origin, spanning [-extent, extent] along both axes."""
-    if resolution < 32:
-        raise ValueError("resolution must be at least 32")
+    through the origin, spanning [-extent, extent] along both axes.  An odd
+    resolution puts the middle node exactly at 0, so the lattice holds the
+    origin itself rather than a point a rounding error away from it."""
+    if resolution < MIN_PLANE_RESOLUTION:
+        raise ValueError(
+            f"resolution must be at least {MIN_PLANE_RESOLUTION}")
     if plane not in ("xy", "xz"):
         raise ValueError(f"plane must be 'xy' or 'xz', got {plane!r}")
     axis = np.linspace(-extent, extent, resolution)
+    if resolution % 2:
+        axis[resolution // 2] = 0.0
     a, b = np.meshgrid(axis, axis, indexing="ij")
     pts = np.zeros((resolution, resolution, 3))
     pts[..., 0] = a

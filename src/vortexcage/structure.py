@@ -4,19 +4,21 @@ Orbitals are shell functions R_n(r) * sum_m C_m Y_lm(theta, phi).  Radial
 band profiles are Gaussian shells, orthonormalized across bands (sequential
 Gram-Schmidt in band order) so that the full orbital set is orthonormal;
 the orthogonalization is what gives the diffuse top band its radial nodes.
-Band energies follow E_n + l(l+1)/(2 R^2).  The radial rule the profiles are
-built on also measures how much of each band lies beyond a grid's r_max.
+Band energies follow E_n + l(l+1)/(2 R^2).  The overlaps this needs, and the
+squared norm each band keeps beyond a grid's r_max, are closed forms in
+erfc and exp of the Gaussians' centres and widths (no radial rule).
 
 Evaluation builds one table of Y_lm and its two angular derivatives over
 all (l, m) up to the largest l requested, and contracts each orbital's
 (2l+1)-entry coefficient block against it (``angular_tables``), so one-hot
-and symmetry-table orbitals share one path.  On a QuadratureGrid the radial
-parts are taken on the radial nodes and the angular parts on the angular
-nodes only.  For the same reason product-grid integrals factorise: the Gram
-<psi_i|psi_j> = G_rad[b_i, b_j] * G_ang[i, j] is a band Gram over the radial
-rule times the Gram of the angular parts over the angular rule, so
-``product_grid_gram``, like ``coupling.interaction_matrix``, tabulates no
-orbital on the full grid.
+and symmetry-table orbitals share one path.  ``orbital_tables`` is the one
+evaluator of values and gradients, at a single point as on a whole grid.
+On a QuadratureGrid the radial parts are taken on the radial nodes and the
+angular parts on the angular nodes only.  For the same reason product-grid
+integrals factorise: the Gram <psi_i|psi_j> = G_rad[b_i, b_j] * G_ang[i, j]
+is a band Gram over the radial rule times the Gram of the angular parts over
+the angular rule, so ``product_grid_gram``, like
+``coupling.interaction_matrix``, tabulates no orbital on the full grid.
 """
 
 from __future__ import annotations
@@ -38,8 +40,6 @@ __all__ = [
     "build_basis",
     "default_bands",
     "degenerate_groups",
-    "evaluate_gradient",
-    "evaluate_orbital",
     "load_symmetry_coefficients",
     "orbital_tables",
     "parabolic_energy",
@@ -93,48 +93,64 @@ def parabolic_energy(band: BandSpec, l: int, cage_radius: float) -> float:
 # ---------------------------------------------------------------------------
 
 class RadialShellSet:
-    """Orthonormalized radial functions built from Gaussian shell profiles."""
+    """Orthonormalized radial functions built from Gaussian shell profiles.
+
+    Every radial integral the construction needs is a closed form of the
+    bare Gaussians g_i = exp(-(r - c_i)^2 / 2 w_i^2), so no radial rule is
+    involved: ``ortho`` maps them onto profiles R with <R_i|R_j> = delta_ij.
+    """
 
     def __init__(self, centers, widths):
         self.centers = np.asarray(centers, dtype=float)
         self.widths = np.asarray(widths, dtype=float)
-        r_up = float(np.max(self.centers + 8.0 * self.widths))
-        r_up = max(r_up, 4.0 * float(np.max(self.centers)))
-        # the rule the profiles are normalized on, kept for tail_norms
-        rr, ww = self.nodes, self.weights = numerics.gauss_legendre(
-            600, 0.0, r_up)
-        gauss = np.exp(-((rr[None, :] - self.centers[:, None]) ** 2)
-                       / (2.0 * self.widths[:, None] ** 2))
-        norms = np.sqrt(np.einsum("r,ir->i", ww * rr * rr, gauss**2))
-        self.bare_norms = 1.0 / norms
-        bare = gauss * self.bare_norms[:, None]
-        gram = np.einsum("ir,jr,r->ij", bare, bare, ww * rr * rr)
-        # inv(L) rows give sequential Gram-Schmidt combinations of the bare
-        # profiles: R_i = sum_j ortho[i, j] bare_j with <R_i|R_j> = delta_ij
-        chol = np.linalg.cholesky(gram)
-        self.ortho = np.linalg.inv(chol)
+        # inv(L) rows give sequential Gram-Schmidt combinations of the
+        # Gaussians: R_i = sum_{j <= i} ortho[i, j] g_j with <R_i|R_j> =
+        # delta_ij (tril drops the rounding residue inv leaves above the
+        # diagonal, which would leak wider shells into a band's tail)
+        self.ortho = np.tril(np.linalg.inv(
+            np.linalg.cholesky(self._overlaps(0.0))))
 
-    def _bare_all(self, r):
+    def _overlaps(self, lower: float) -> np.ndarray:
+        """Integrals of r^2 g_i g_j over [lower, inf).
+
+        g_i g_j = k exp(-(r - c)^2 / 2v) with 1/v = 1/w_i^2 + 1/w_j^2,
+        c = v (c_i/w_i^2 + c_j/w_j^2) and k = exp(-(c_i - c_j)^2 / 2(w_i^2
+        + w_j^2)); with a = lower - c, the integral of (t + c)^2 e^(-t^2/2v)
+        over t > a is (c^2 + v) sqrt(pi v/2) erfc(a/sqrt(2v))
+        + v (lower + c) e^(-a^2/2v).
+        """
+        out = np.empty((len(self.centers),) * 2)
+        shells = list(zip(self.centers.tolist(), self.widths.tolist()))
+        for i, (ci, wi) in enumerate(shells):
+            for j, (cj, wj) in enumerate(shells):
+                v = 1.0 / (1.0 / wi**2 + 1.0 / wj**2)
+                c = v * (ci / wi**2 + cj / wj**2)
+                a = lower - c
+                k = math.exp(-(ci - cj) ** 2 / (2.0 * (wi**2 + wj**2)))
+                out[i, j] = k * (
+                    (c * c + v) * math.sqrt(0.5 * math.pi * v)
+                    * math.erfc(a / math.sqrt(2.0 * v))
+                    + v * (lower + c) * math.exp(-a * a / (2.0 * v)))
+        return out
+
+    def _gaussians(self, r):
         r = np.asarray(r, dtype=float)
-        return self.bare_norms[:, None] * np.exp(
-            -((r[None, :] - self.centers[:, None]) ** 2)
-            / (2.0 * self.widths[:, None] ** 2))
+        return np.exp(-((r[None, :] - self.centers[:, None]) ** 2)
+                      / (2.0 * self.widths[:, None] ** 2))
 
     def values(self, r):
         """Orthonormalized profiles, shape (n_shells, len(r))."""
-        return self.ortho @ self._bare_all(r)
+        return self.ortho @ self._gaussians(r)
 
     def derivatives(self, r):
         r = np.asarray(r, dtype=float)
         slope = -(r[None, :] - self.centers[:, None]) / self.widths[:, None] ** 2
-        return self.ortho @ (slope * self._bare_all(r))
+        return self.ortho @ (slope * self._gaussians(r))
 
     def tail_norms(self, r_max: float) -> np.ndarray:
-        """Squared norm of each profile beyond r_max, summed over the nodes
-        of the construction rule that lie past it."""
-        far = self.nodes > r_max
-        r = self.nodes[far]
-        return (self.values(r) ** 2) @ (self.weights[far] * r * r)
+        """Squared norm of each profile beyond r_max."""
+        return np.einsum("ij,jk,ik->i", self.ortho, self._overlaps(r_max),
+                         self.ortho)
 
 
 # ---------------------------------------------------------------------------
@@ -188,26 +204,17 @@ def _spherical_substates(l: int):
 
 def build_basis(bands: tuple[BandSpec, ...] | None = None,
                 cage_radius: float = DEFAULT_CAGE_RADIUS,
-                symmetry_table: "SymmetryTable | None" = None,
-                shells: RadialShellSet | None = None) -> Basis:
+                symmetry_table: "SymmetryTable | None" = None) -> Basis:
     """Enumerate orbitals in (n, l, substate) order with energies and filling.
 
     In spherical mode coefficients are one-hot in m.  With a symmetry table
     the tabulated (l, rep, lambda) combinations replace the one-hot set for
-    every l they cover; substate order then follows the table.  ``shells``
-    reuses the radial shells of another basis with the same band radii and
-    widths (ValueError otherwise); by default they are built here.
+    every l they cover; substate order then follows the table.
     """
     if bands is None:
         bands = default_bands()
-    centers = [b.shell_radius for b in bands]
-    widths = [b.shell_width for b in bands]
-    if shells is None:
-        shells = RadialShellSet(centers, widths)
-    elif not (np.array_equal(shells.centers, centers)
-              and np.array_equal(shells.widths, widths)):
-        raise ValueError("the radial shells do not match the bands' shell "
-                         "radii and widths")
+    shells = RadialShellSet([b.shell_radius for b in bands],
+                            [b.shell_width for b in bands])
     orbitals: list[Orbital] = []
     index = 0
     for pos, band in enumerate(bands):
@@ -419,18 +426,6 @@ def product_grid_gram(basis: Basis, orbitals,
     g_ang = (ang.conj() * grid.angular_weights) @ ang.T
     bands = [o.band_pos for o in orbitals]
     return g_rad[np.ix_(bands, bands)] * g_ang
-
-
-def evaluate_orbital(orbital: Orbital, basis: Basis, point) -> complex:
-    """R_nl(r) * sum_m C_m Y_lm at a single point."""
-    psi, _ = orbital_tables(basis, [orbital], point)
-    return complex(psi[0, 0])
-
-
-def evaluate_gradient(orbital: Orbital, basis: Basis, point) -> np.ndarray:
-    """Analytic Cartesian gradient of the orbital at a single point."""
-    _, grad = orbital_tables(basis, [orbital], point)
-    return grad[0, 0]
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,6 @@
 import csv
 import filecmp
+import tracemalloc
 
 import pytest
 import yaml
@@ -69,6 +70,29 @@ class TestConfig:
             overrides=["pulse.m_oam=2"]))
         assert a == b
         assert a != c
+
+    def test_r_max_factor_3_accepted(self):
+        # band 3 keeps 2.7e-9 of its squared norm beyond 3 * 6.7 bohr,
+        # inside the 1e-8 gate (2.5 leaves 1.6e-5 and is refused)
+        run = config.RunConfig.resolve(config.load_config(
+            overrides=["numerics.r_max_factor=3.0"]))
+        assert run.r_max == pytest.approx(20.1)
+        assert run.basis.shells.tail_norms(run.r_max)[2] == \
+            pytest.approx(2.71e-9, rel=1e-3)
+
+    def test_resolve_does_not_build_the_plane_lattice(self):
+        def peak(resolution):
+            cfg = config.load_config(
+                overrides=[f"scan.plane_resolution={resolution}"])
+            tracemalloc.start()
+            try:
+                config.RunConfig.resolve(cfg)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        peak(64)        # first call: one-off allocations
+        assert peak(1000) <= peak(64) + 1_000_000
 
     def test_intensity_conversion_echoed(self):
         run = config.RunConfig.resolve(config.load_config())

@@ -53,7 +53,8 @@ class TestApplyInteraction:
 
             def a_psi(x):
                 a = pulse_m1.spatial_amplitude(x[None, :])[0][0]
-                return a * structure.evaluate_orbital(orb, basis, x)
+                psi, _ = structure.orbital_tables(basis, [orb], x[None, :])
+                return a * psi[0, 0]
 
             def central(step_h):
                 step = np.array([step_h, 0.0, 0.0])

@@ -165,21 +165,3 @@ class TestGrid:
         with pytest.raises(ValueError):
             numerics.build_grid(-1.0, 5.0, 32, 12)
 
-
-class TestCentralDifference:
-    def test_quadratic(self):
-        grad = numerics.central_difference_gradient(
-            lambda p: p[0] ** 2, np.array([1.0, 0.0, 0.0]), 1e-4)
-        assert np.abs(grad - np.array([2.0, 0.0, 0.0])).max() < 1e-7
-
-    def test_linear_harmonic_field(self):
-        # f = Y10 * r = sqrt(3/4pi) z has a constant analytic gradient
-        c = math.sqrt(3 / (4 * math.pi))
-        grad = numerics.central_difference_gradient(
-            lambda p: c * p[2], np.array([0.3, -0.8, 1.1]), 1e-4)
-        assert np.abs(grad - np.array([0.0, 0.0, c])).max() < 1e-7
-
-    def test_constant(self):
-        grad = numerics.central_difference_gradient(
-            lambda p: 2.5, np.array([0.4, 0.2, -0.9]), 1e-3)
-        assert np.abs(grad).max() < 1e-12

@@ -282,6 +282,24 @@ class TestPlanes:
             totals.append(np.linalg.norm(j, axis=2).sum() * area)
         assert abs(totals[1] - totals[0]) / totals[1] < 0.01
 
+    def test_odd_lattice_holds_the_origin(self, basis, exc_m1):
+        # a middle node ~1e-15 bohr off the origin missed the r = 0 limit,
+        # and the R/r term of the current blew up there
+        pts, j = observables.sample_current_plane(exc_m1, basis, "xy",
+                                                  14.0, 51)
+        assert np.any(np.all(pts.reshape(-1, 3) == 0.0, axis=1))
+        _, j49 = observables.sample_current_plane(exc_m1, basis, "xy",
+                                                  14.0, 49)
+        assert np.abs(j).max() < 2.0 * np.abs(j49).max()
+        assert observables.radial_ring_count(pts, j) >= 2
+
+    @pytest.mark.parametrize("res", [64, 256])
+    def test_even_lattice_is_linspace(self, res):
+        pts = observables.plane_lattice("xz", 14.0, res)
+        axis = np.linspace(-14.0, 14.0, res)
+        assert np.array_equal(pts[:, 0, 0], axis)
+        assert np.array_equal(pts[0, :, 2], axis)
+
     def test_plane_writer(self, basis, exc_m1, tmp_path):
         pts, j = observables.sample_current_plane(exc_m1, basis, "xy", 8.0, 32)
         path = tmp_path / "plane.dat"

@@ -1,6 +1,9 @@
 import ast
 import importlib
+import os
 import pkgutil
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -65,3 +68,17 @@ def test_every_public_name_is_used_in_the_package():
               for qual in _public_api(module, tree)
               if qual.rpartition(".")[2] not in loaded]
     assert not unused
+
+
+def test_cli_imports_no_test_dependency():
+    # scipy, hypothesis and pytest are test extras in pyproject.toml: a
+    # command must run without them and not pay for importing them
+    code = ("import sys, vortexcage.cli; print(sorted({'scipy', 'hypothesis', "
+            "'pytest'} & {name.partition('.')[0] for name in sys.modules}))")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(Path(vortexcage.__file__).parents[1])]
+        + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.strip() == "[]"

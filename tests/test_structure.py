@@ -1,8 +1,8 @@
-import dataclasses
 import math
 
 import numpy as np
 import pytest
+import scipy.integrate
 import scipy.special
 from hypothesis import given, settings, strategies as st
 
@@ -89,15 +89,6 @@ class TestBuildBasis:
         with pytest.raises(ValueError):
             structure.build_basis(tuple(bands))
 
-    def test_shells_reused_only_for_matching_bands(self, basis):
-        bands = list(basis.bands)
-        bands[1] = dataclasses.replace(bands[1], l_max=1, electron_count=8)
-        reduced = structure.build_basis(tuple(bands), shells=basis.shells)
-        assert reduced.shells is basis.shells
-        bands[2] = dataclasses.replace(bands[2], shell_width=2.5)
-        with pytest.raises(ValueError, match="radial shells"):
-            structure.build_basis(tuple(bands), shells=basis.shells)
-
     def test_energies_nondecreasing_in_l(self, basis):
         for n in (1, 2, 3):
             orbs = basis.band_orbitals(n)
@@ -146,12 +137,47 @@ class TestRadialProfile:
             means.append(float(np.sum(w * r**3 * prof**2)))
         assert means[1] > means[0]
 
+    @staticmethod
+    def _quad(f, lower, epsabs=0.0):
+        return scipy.integrate.quad(f, lower, np.inf, epsabs=epsabs,
+                                    epsrel=1e-13, limit=200)[0]
+
+    @pytest.mark.parametrize("r_max", [13.4, 16.75, 20.1, 26.8])
+    def test_tail_norms_match_quadrature(self, basis, r_max):
+        # r_max_factor 2, 2.5, 3 and 4 of the 6.7 bohr shells
+        shells = basis.shells
+        ref = np.array([self._quad(
+            lambda r, b=b: r * r * shells.values([r])[b, 0] ** 2, r_max)
+            for b in range(len(basis.bands))])
+        tail = shells.tail_norms(r_max)
+        assert np.all(np.abs(tail - ref) <= 1e-12 * ref)
+
+    def test_profiles_orthonormal_by_quadrature(self, basis):
+        shells = basis.shells
+        n = len(basis.bands)
+        gram = np.array([[self._quad(
+            lambda r, i=i, j=j: r * r * np.prod(shells.values([r])[[i, j], 0]),
+            0.0, epsabs=1e-14) for j in range(n)] for i in range(n)])
+        assert np.abs(gram - np.eye(n)).max() <= 1e-13
+
+    def test_gram_schmidt_is_sequential(self, basis):
+        # band i mixes only the Gaussians of bands <= i, so the narrow
+        # band-1 shell keeps its own tail
+        assert np.all(np.triu(basis.shells.ortho, 1) == 0.0)
+
+
+def evaluate(orb, basis, point):
+    """Value and gradient of one orbital at one point."""
+    psi, grad = structure.orbital_tables(basis, [orb],
+                                         np.reshape(point, (1, 3)))
+    return complex(psi[0, 0]), grad[0, 0]
+
 
 class TestEvaluateOrbital:
     def test_spherical_symmetry_l0(self, basis):
         orb = next(o for o in basis.band_orbitals(2) if o.l == 0)
-        a = structure.evaluate_orbital(orb, basis, np.array([3.0, 0.0, 0.0]))
-        b = structure.evaluate_orbital(orb, basis, np.array([0.0, -2.1, 2.142428528562855]))
+        a = evaluate(orb, basis, np.array([3.0, 0.0, 0.0]))[0]
+        b = evaluate(orb, basis, np.array([0.0, -2.1, 2.142428528562855]))[0]
         assert abs(np.linalg.norm([0.0, -2.1, 2.142428528562855]) - 3.0) < 1e-12
         assert a == pytest.approx(b, rel=1e-12)
 
@@ -168,15 +194,13 @@ class TestEvaluateOrbital:
             phi = math.atan2(p[1], p[0])
             expected = rad(np.array([r]))[orb.band_pos][0] \
                 * tabulated_harmonic(1, 2, theta, phi)
-            got = structure.evaluate_orbital(orb, basis, p)
+            got = evaluate(orb, basis, p)[0]
             assert got == pytest.approx(complex(expected), rel=1e-12)
 
     def test_far_tail(self, basis):
         orb = next(o for o in basis.band_orbitals(2) if o.l == 0)
-        near = abs(structure.evaluate_orbital(orb, basis,
-                                              np.array([0.0, 0.0, 6.7])))
-        far = abs(structure.evaluate_orbital(orb, basis,
-                                             np.array([0.0, 0.0, 67.0])))
+        near = abs(evaluate(orb, basis, np.array([0.0, 0.0, 6.7]))[0])
+        far = abs(evaluate(orb, basis, np.array([0.0, 0.0, 67.0]))[0])
         assert far < 1e-6 * near
 
 
@@ -188,16 +212,19 @@ class TestEvaluateGradient:
             orb = orbs[rng.integers(0, len(orbs))]
             p = rng.uniform(-1, 1, 3)
             p *= rng.uniform(0.5, 20.0) / np.linalg.norm(p)
-            g_an = structure.evaluate_gradient(orb, basis, p)
-            g_fd = numerics.central_difference_gradient(
-                lambda x: structure.evaluate_orbital(orb, basis, x), p, 1e-4)
+            g_an = evaluate(orb, basis, p)[1]
+            # central differences on the stencil p + h e_i, p - h e_i
+            h = 1e-4
+            psi, _ = structure.orbital_tables(
+                basis, [orb], p + h * np.vstack([np.eye(3), -np.eye(3)]))
+            g_fd = (psi[0, :3] - psi[0, 3:]) / (2.0 * h)
             scale = max(np.abs(g_an).max(), 1e-12)
             assert np.abs(g_an - g_fd).max() / scale < 1e-6
 
     def test_l0_purely_radial(self, basis):
         orb = next(o for o in basis.band_orbitals(3) if o.l == 0)
         p = np.array([2.0, -3.0, 1.5])
-        g = structure.evaluate_gradient(orb, basis, p)
+        g = evaluate(orb, basis, p)[1]
         rhat = p / np.linalg.norm(p)
         transverse = g - (g @ rhat) * rhat
         assert np.abs(transverse).max() < 1e-14 * np.abs(g).max()
@@ -221,16 +248,14 @@ class TestEvaluateGradient:
             rep_label="mix*", lam=0, energy=orb.energy, coeffs=conj_coeffs,
             occupied=False)
         p = np.array([1.2, 4.0, -2.0])
-        psi_m = structure.evaluate_orbital(mixed, basis, p)
-        psi_p = structure.evaluate_orbital(partner, basis, p)
+        psi_m, g_m = evaluate(mixed, basis, p)
+        psi_p, g_p = evaluate(partner, basis, p)
         assert psi_p == pytest.approx(psi_m.conjugate(), rel=1e-12)
-        g_m = structure.evaluate_gradient(mixed, basis, p)
-        g_p = structure.evaluate_gradient(partner, basis, p)
         assert np.abs(g_p - g_m.conj()).max() < 1e-12 * np.abs(g_m).max()
 
     def test_origin_regularized(self, basis):
         for orb in basis.orbitals[:6]:
-            g = structure.evaluate_gradient(orb, basis, np.zeros(3))
+            g = evaluate(orb, basis, np.zeros(3))[1]
             assert np.all(np.isfinite(g))
 
 
@@ -374,7 +399,7 @@ class TestSymmetryTable:
                    if o.l == 2 and o.rep_label == "eg" and o.lam == 0)
         # mixing m = +-2 equally gives a real value on the phi = 0 meridian
         for z in (0.5, 2.0, 5.0):
-            val = structure.evaluate_orbital(orb, b, np.array([4.0, 0.0, z]))
+            val = evaluate(orb, b, np.array([4.0, 0.0, z]))[0]
             assert abs(val.imag) < 1e-14 * max(abs(val), 1e-30)
 
     def test_malformed_row_names_line(self, tmp_path):
