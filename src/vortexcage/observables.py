@@ -21,6 +21,23 @@ pulse.  Scans therefore integrate each pair current conj(psi_l) grad psi_l'
 once per grid (``scan_kernel``) and contract the coherences of each scan
 point against those integrals; the sampled path serves plane lattices and
 checks.
+
+The sampled path tabulates no orbital.  With psi_l = R_b Y_l and the
+tangential gradient T_l = r grad Y_l,
+
+    conj(psi_l) grad psi_l' = R_b R_b' conj(Y_l) Y_l' r-hat
+                              + (R_b^2 / r) conj(Y_l) T_l'.
+
+C^g is Hermitian, so sum_ll' C^g_ll' conj(Y_l) Y_l' is real and the r-hat
+term has no imaginary part: it drops out of the current.  Writing Y_l =
+sum_m K_lm Y_lm with the block's coefficient rows K_g, the current is
+
+    j = sum_(b,l) (R_b^2 / r) 2 Im sum_mm' D_mm' conj(Y_lm) T_lm',
+    D^(b,l) = sum_g K_g^H C^g K_g,
+
+one (2l+1)^2 Hermitian quadratic form in the harmonics per (band, l); the
+cross terms of symmetry-table blocks enter through D.  At r = 0 the current
+is zero (psi vanishes there for l >= 1, and the l = 0 term is real).
 """
 
 from __future__ import annotations
@@ -32,7 +49,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import coupling, structure
-from .numerics import gauss_legendre
+from .numerics import QuadratureGrid, gauss_legendre
 from .structure import DEFAULT_ETA
 from .units import AU_BFIELD_T, BOHR_MAGNETON_AU, MU0_OVER_4PI_AU
 
@@ -111,24 +128,69 @@ def _charge_sign(charge_convention: str) -> float:
     raise ValueError(f"unknown charge convention {charge_convention!r}")
 
 
-def current_samples(excitation, basis, points, eta: float = DEFAULT_ETA,
-                    charge_convention: str = "electron") -> np.ndarray:
-    """DC current density at a grid's or an (n, 3) array's points, (n_pts, 3)."""
-    sign = _charge_sign(charge_convention)
+def _coherence_matrices(excitation, basis, eta):
+    """{(band position, l): D} with D = sum_g K_g^H C_g K_g over the blocks
+    g of that band and l, K_g the blocks' coefficient rows: the Hermitian
+    (2l+1)^2 coherence matrix of the spherical harmonics Y_lm."""
     unocc = [basis.orbitals[i] for i in excitation.transitions.unoccupied]
-    psi, grad = structure.orbital_tables(basis, unocc, points)
     amps = excitation.amplitudes
-    j = np.zeros((psi.shape[1], 3))
+    dmats: dict[tuple[int, int], np.ndarray] = {}
     for rows in _coherence_blocks(unocc, eta):
         # source-summed coherence matrix C[l, l'] = sum_k conj(B_lk) B_l'k
         b_block = amps[rows, :]
         coh = b_block.conj() @ b_block.T
         if not np.any(coh):
             continue
-        psi_g = psi[rows]
-        grad_g = grad[rows]
-        mixed = np.einsum("lm,ln->mn", coh, psi_g.conj())
-        j += 2.0 * np.einsum("mn,mnc->nc", mixed, grad_g).imag
+        k = np.array([unocc[r].coeffs for r in rows])
+        key = (unocc[rows[0]].band_pos, unocc[rows[0]].l)
+        dmats[key] = dmats.get(key, 0.0) + k.conj().T @ coh @ k
+    return dmats
+
+
+def _current_block(basis, dmats, r, dirs):
+    """Sum over (b, l) of (R_b^2 / r) 2 Im sum_mm' D_mm' conj(Y_lm) T_lm' at
+    the broadcast product of radii r and unit directions dirs (n, 3); zero
+    at r = 0."""
+    y, dth, dph, that, phat = structure.harmonic_frame(
+        max(l for _, l in dmats), dirs)
+    ang = {}
+    for (b, l), d in dmats.items():
+        rows = slice(l * l, (l + 1) ** 2)
+        y_conj = y[rows].conj()
+        s_th = 2.0 * np.einsum("mn,mn->n", y_conj, d @ dth[rows]).imag
+        s_ph = 2.0 * np.einsum("mn,mn->n", y_conj, d @ dph[rows]).imag
+        vec = s_th[:, None] * that + s_ph[:, None] * phat
+        ang[b] = ang.get(b, 0.0) + vec
+    rad = basis.shells.values(r.ravel()).reshape((-1,) + r.shape)
+    inv_r = np.divide(1.0, r, out=np.zeros_like(r), where=r > 0.0)
+    return sum((rad[b] ** 2 * inv_r)[..., None] * vec
+               for b, vec in ang.items()).reshape(-1, 3)
+
+
+def current_samples(excitation, basis, points, eta: float = DEFAULT_ETA,
+                    charge_convention: str = "electron") -> np.ndarray:
+    """DC current density at a grid's or an (n, 3) array's points, (n_pts, 3).
+
+    A QuadratureGrid is read as in ``structure.orbital_tables``: R_b^2 / r
+    on its radial nodes and the angular fields on its angular nodes, joined
+    by broadcasting; an array is taken in blocks of points.
+    """
+    sign = _charge_sign(charge_convention)
+    dmats = _coherence_matrices(excitation, basis, eta)
+    if isinstance(points, QuadratureGrid):
+        r, dirs = points.radial_nodes[:, None], points.angular_nodes
+        n_pts = step = len(points.weights)
+    else:
+        pts = np.atleast_2d(np.asarray(points, dtype=float))
+        r = np.linalg.norm(pts, axis=1)
+        dirs = pts / np.where(r > 0.0, r, 1.0)[:, None]
+        n_pts, step = len(r), structure.POINT_BLOCK
+    # each block's result is kept until the join rather than copied out and
+    # freed: that keeps glibc from trimming and re-faulting the heap between
+    # blocks (82k -> 43k minor faults for a resolution-256 planes run)
+    blocks = [_current_block(basis, dmats, r[i:i + step], dirs[i:i + step])
+              for i in range(0, n_pts, step)] if dmats else []
+    j = np.concatenate(blocks) if blocks else np.zeros((n_pts, 3))
     return sign * j
 
 

@@ -9,9 +9,10 @@ squared norm each band keeps beyond a grid's r_max, are closed forms in
 erfc and exp of the Gaussians' centres and widths (no radial rule).
 
 Evaluation builds one table of Y_lm and its two angular derivatives over
-all (l, m) up to the largest l requested, and contracts each orbital's
-(2l+1)-entry coefficient block against it (``angular_tables``), so one-hot
-and symmetry-table orbitals share one path.  ``orbital_tables`` is the one
+all (l, m) up to the largest l requested, with the theta-hat and phi-hat
+frame (``harmonic_frame``), and contracts each orbital's (2l+1)-entry
+coefficient block against it (``angular_tables``), so one-hot and
+symmetry-table orbitals share one path.  ``orbital_tables`` is the one
 evaluator of values and gradients, at a single point as on a whole grid.
 On a QuadratureGrid the radial parts are taken on the radial nodes and the
 angular parts on the angular nodes only.  For the same reason product-grid
@@ -40,6 +41,7 @@ __all__ = [
     "build_basis",
     "default_bands",
     "degenerate_groups",
+    "harmonic_frame",
     "load_symmetry_coefficients",
     "orbital_tables",
     "parabolic_energy",
@@ -48,6 +50,7 @@ __all__ = [
 
 DEFAULT_CAGE_RADIUS = 6.7   # bohr, averaged molecular radius
 DEFAULT_ETA = 1e-6          # hartree, degeneracy tolerance for DC interference
+POINT_BLOCK = 8192          # points per block of per-point harmonic tables
 
 
 @dataclass(frozen=True)
@@ -312,6 +315,23 @@ def _harmonic_tables(lmax: int, ct, st, phi):
     return y, dth, dph
 
 
+def harmonic_frame(lmax: int, dirs):
+    """Harmonic tables and the local frame at unit directions dirs (n, 3).
+
+    Returns (y, dth, dph, theta_hat, phi_hat): Y_lm, d/dtheta Y_lm and
+    (1/sin theta) d/dphi Y_lm for all l <= lmax in rows k = l^2 + l + m,
+    each (n_lm, n), and the unit vectors theta-hat and phi-hat, each (n, 3).
+    The tangential gradient r grad Y_lm is dth theta-hat + dph phi-hat.
+    """
+    ct = np.clip(dirs[:, 2], -1.0, 1.0)
+    st, phi = np.sqrt(np.maximum(0.0, 1.0 - ct * ct)), np.arctan2(
+        dirs[:, 1], dirs[:, 0])
+    y, dth, dph = _harmonic_tables(lmax, ct, st, phi)
+    that = np.stack([ct * np.cos(phi), ct * np.sin(phi), -st], axis=1)
+    phat = np.stack([-np.sin(phi), np.cos(phi), np.zeros_like(phi)], axis=1)
+    return y, dth, dph, that, phat
+
+
 # r -> 0 limits of (psi / R, grad / R') per (l, m) row for l <= 1.  Only
 # l = 0 keeps a value; the gradient takes the regularized +z-axis limit:
 # z-hat Y_00 for l = 0, the constant gradient of r Y_1m for l = 1, zero above.
@@ -341,8 +361,7 @@ def orbital_tables(basis: Basis, orbitals, points):
         pts = np.atleast_2d(np.asarray(points, dtype=float))
         r = np.linalg.norm(pts, axis=1)
         dirs = pts / np.where(r > 0.0, r, 1.0)[:, None]
-        # blocks of points keep the per-point harmonic tables small
-        n_pts, step = len(r), 8192
+        n_pts, step = len(r), POINT_BLOCK
     psi = np.empty((len(orbitals), n_pts), dtype=complex)
     grad = np.empty((len(orbitals), n_pts, 3), dtype=complex)
     for i in range(0, n_pts, step):
@@ -356,13 +375,8 @@ def _angular_parts(orbitals, dirs):
     angular part Y = sum_m C_m Y_lm, shape (n,), and T = r grad Y, the
     tangential gradient theta-hat dY/dtheta + phi-hat dY/dphi / sin theta,
     shape (n, 3).  The harmonic tables are built once for all orbitals."""
-    ct = np.clip(dirs[:, 2], -1.0, 1.0)
-    st, phi = np.sqrt(np.maximum(0.0, 1.0 - ct * ct)), np.arctan2(
-        dirs[:, 1], dirs[:, 0])
-    lmax = max((o.l for o in orbitals), default=0)
-    y, dth, dph = _harmonic_tables(lmax, ct, st, phi)
-    that = np.stack([ct * np.cos(phi), ct * np.sin(phi), -st], axis=1)
-    phat = np.stack([-np.sin(phi), np.cos(phi), np.zeros_like(phi)], axis=1)
+    y, dth, dph, that, phat = harmonic_frame(
+        max((o.l for o in orbitals), default=0), dirs)
     for orb in orbitals:
         rows, c = slice(orb.l ** 2, (orb.l + 1) ** 2), orb.coeffs
         yield c @ y[rows], ((c @ dth[rows])[:, None] * that

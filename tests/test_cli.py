@@ -221,6 +221,20 @@ class TestScanTabulation:
             counts.append(len(calls))
         assert counts[0] == counts[1] == 1
 
+    def test_planes_tabulates_no_orbital(self, tmp_path, monkeypatch):
+        # the lattices are R_b^2 / r times angular quadratic forms
+        calls = []
+        tabulate = structure.orbital_tables
+
+        def spy(basis, orbitals, points, **kw):
+            calls.append(len(orbitals))
+            return tabulate(basis, orbitals, points, **kw)
+
+        monkeypatch.setattr(structure, "orbital_tables", spy)
+        assert cli.main(["--out", str(tmp_path), "--override",
+                         "scan.plane_resolution=64", "planes"]) == 0
+        assert calls == []
+
 
 class TestPlanesCommand:
     def test_plane_files(self, tmp_path):

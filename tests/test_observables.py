@@ -1,11 +1,13 @@
 import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from vortexcage import beam, coupling, dynamics, numerics, observables, structure
+from vortexcage import (beam, config, coupling, dynamics, numerics,
+                        observables, structure)
 from vortexcage.units import ev_to_hartree
 from vortexcage.units import MU0_OVER_4PI_AU
 
@@ -112,6 +114,128 @@ class TestDcCurrent:
                 jm = observables.current_samples(exc_m1, basis, pt - step)
                 div += (jp[0, axis] - jm[0, axis]) / (2 * h)
             assert abs(div) < 1e-6 * scale
+
+
+def reference_current(exc, basis, points, eta=structure.DEFAULT_ETA,
+                      charge_convention="electron", tables=None):
+    """The current tabulated orbital by orbital: psi and grad psi of every
+    target from ``structure.orbital_tables`` (or ``tables``), then
+    2 Im sum_ll' C_ll' conj(psi_l) grad psi_l' per coherence block."""
+    targets = [basis.orbitals[i] for i in exc.transitions.unoccupied]
+    psi, grad = tables or structure.orbital_tables(basis, targets, points)
+    row_of = {o.index: r for r, o in enumerate(targets)}
+    by_rep = {}
+    for o in targets:
+        by_rep.setdefault((o.band, o.l, o.rep_label), []).append(o)
+    j = np.zeros((psi.shape[1], 3))
+    for members in by_rep.values():
+        for group in structure.degenerate_groups(members, eta):
+            rows = [row_of[o.index] for o in group]
+            b_block = exc.amplitudes[rows, :]
+            coh = b_block.conj() @ b_block.T
+            mixed = np.einsum("lm,ln->mn", coh, psi[rows].conj())
+            j += 2.0 * np.einsum("mn,mnc->nc", mixed, grad[rows]).imag
+    return (-1.0 if charge_convention == "electron" else 1.0) * j
+
+
+def assert_matches_reference(j, ref):
+    assert np.abs(j - ref).max() <= 1e-13 * np.abs(ref).max()
+
+
+class TestCurrentFactorisation:
+    """``current_samples`` takes (R_b^2 / r) times one angular quadratic
+    form per (band, l); the orbital-by-orbital tables must agree."""
+
+    @pytest.mark.parametrize("plane", ["xy", "xz"])
+    @pytest.mark.parametrize("resolution", [64, 51])
+    def test_lattice_matches_tables(self, basis, exc_m1, plane, resolution):
+        pts, j = observables.sample_current_plane(exc_m1, basis, plane,
+                                                  14.0, resolution)
+        pts, j = pts.reshape(-1, 3), j.reshape(-1, 3)
+        assert_matches_reference(j, reference_current(exc_m1, basis, pts))
+        on_axis = (pts[:, 0] == 0.0) & (pts[:, 1] == 0.0)
+        origin = on_axis & (pts[:, 2] == 0.0)
+        assert np.count_nonzero(on_axis) == (resolution % 2) * (
+            1 if plane == "xy" else resolution)
+        assert np.all(j[origin] == 0.0)
+
+    def test_offset_beam_matches_tables(self, basis, grid):
+        rho0 = 0.5 * beam.rho_max(1, make_pulse(1).waist)
+        exc = run_excitation(basis, grid, 1, rho0=rho0)
+        pts, j = observables.sample_current_plane(exc, basis, "xy", 14.0, 64)
+        pts = pts.reshape(-1, 3)
+        assert_matches_reference(j.reshape(-1, 3),
+                                 reference_current(exc, basis, pts))
+
+    @pytest.mark.parametrize("charge_convention", ["electron", "probability"])
+    def test_grid_matches_tables(self, basis, grid, exc_m1, charge_convention):
+        field = observables.sample_current(exc_m1, basis, grid,
+                                           charge_convention=charge_convention)
+        assert np.array_equal(field.points, grid.points)
+        assert_matches_reference(field.j, reference_current(
+            exc_m1, basis, grid, charge_convention=charge_convention))
+
+    @settings(max_examples=20, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), exponent=st.integers(-8, 2),
+           density=st.floats(0.05, 1.0))
+    def test_symmetry_blocks_random_amplitudes(self, symmetry_basis, grid,
+                                               symmetry_setup,
+                                               symmetry_tables, seed,
+                                               exponent, density):
+        # the e_g / t2g blocks carry cross terms between coefficient rows
+        ts, _ = symmetry_setup
+        rng = np.random.default_rng(seed)
+        shape = ts.matrix.shape
+        amps = (rng.normal(size=shape) + 1j * rng.normal(size=shape)) \
+            * 10.0 ** exponent * (rng.uniform(size=shape) < density)
+        exc = dataclasses.replace(dynamics.excite(ts, symmetry_basis),
+                                  amplitudes=amps)
+        j = observables.current_samples(exc, symmetry_basis, grid)
+        assert_matches_reference(j, reference_current(
+            exc, symmetry_basis, grid, tables=symmetry_tables))
+
+    def test_plane_memory(self, basis, exc_m1):
+        # no orbital or gradient table over the 65,536 lattice points
+        tracemalloc.start()
+        try:
+            observables.sample_current_plane(exc_m1, basis, "xy", 14.0, 256)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 40e6
+
+    def test_grid_memory(self, basis, exc_m1):
+        grid = config.RunConfig.resolve(config.load_config()).make_grid()
+        tracemalloc.start()
+        try:
+            observables.sample_current(exc_m1, basis, grid)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 10e6
+
+
+MIRROR_POINTS = np.random.default_rng(29).uniform(-12.0, 12.0, (200, 3))
+MIRROR = np.array([1.0, -1.0, 1.0])
+
+
+class TestMirrorSymmetry:
+    @settings(max_examples=25, deadline=None)
+    @given(m=st.integers(1, 4), ratio=st.floats(0.0, 1.0))
+    def test_y_mirror_maps_charge_to_minus_charge(self, basis, grid, exc_m1,
+                                                  m, ratio):
+        # y -> -y keeps the x-offset and the x polarization and conjugates
+        # e^{i m phi}: the current of -m is the mirror image of that of m
+        rho0 = ratio * beam.rho_max(m, make_pulse(m).waist)
+        j_plus = observables.current_samples(
+            run_excitation(basis, grid, m, rho0=rho0), basis, MIRROR_POINTS)
+        j_minus = observables.current_samples(
+            run_excitation(basis, grid, -m, rho0=rho0), basis,
+            MIRROR_POINTS * MIRROR)
+        floor = np.abs(observables.current_samples(
+            exc_m1, basis, MIRROR_POINTS)).max()
+        scale = max(np.abs(j_plus).max(), floor)
+        assert np.abs(j_minus - MIRROR * j_plus).max() <= 1e-10 * scale
 
 
 class TestResonancePositions:
@@ -389,6 +513,12 @@ def compare_kernel_to_sampled(kernel, exc, basis, grid,
     for val, ref_val in zip(norms, ref_norms):
         assert abs(val - ref_val) <= 1e-12 * n_scale
     return (mag, norms), (ref, ref_norms)
+
+
+@pytest.fixture(scope="module")
+def symmetry_tables(symmetry_basis, grid):
+    _, targets = coupling.transition_orbitals(symmetry_basis)
+    return structure.orbital_tables(symmetry_basis, targets, grid)
 
 
 @pytest.fixture(scope="module")

@@ -70,6 +70,30 @@ def test_every_public_name_is_used_in_the_package():
     assert not unused
 
 
+def test_no_module_reads_another_modules_private_names():
+    # a helper two modules share is public in the module that owns it
+    reads = []
+    for path in SOURCES:
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        modules = set()
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and (
+                    node.level or (node.module or "").startswith("vortexcage")):
+                for alias in node.names:
+                    if node.module is None:         # from . import module
+                        modules.add(alias.asname or alias.name)
+                    elif alias.name.startswith("_"):
+                        reads.append(f"{path.stem}: {node.module}.{alias.name}")
+        for node in ast.walk(tree):
+            if (isinstance(node, ast.Attribute)
+                    and isinstance(node.value, ast.Name)
+                    and node.value.id in modules
+                    and node.attr.startswith("_")
+                    and not node.attr.startswith("__")):
+                reads.append(f"{path.stem}: {node.value.id}.{node.attr}")
+    assert not reads
+
+
 def test_cli_imports_no_test_dependency():
     # scipy, hypothesis and pytest are test extras in pyproject.toml: a
     # command must run without them and not pay for importing them
