@@ -337,7 +337,7 @@ def _run_checks(run: RunConfig):
     yield ("analytic-gradients", worst < 1e-6, f"max rel dev {worst:.2e}",
            "check")
 
-    gaps = np.diff(np.unique([o.energy for o in basis.orbitals]))
+    gaps = np.diff(sorted({o.energy for o in basis.orbitals}))
     min_gap = float(gaps.min()) if gaps.size else math.inf
     ok = run.eta < min_gap / 10.0
     yield ("eta-degeneracy-sanity",

@@ -84,9 +84,9 @@ def interaction_matrix(field, basis: structure.Basis, row_orbitals,
     row_pos = np.array([o.band_pos for o in rows])
     col_pos = np.array([o.band_pos for o in cols])
     mat = np.zeros((len(rows), len(cols)), dtype=complex)
-    for b in np.unique(row_pos):
+    for b in sorted(set(row_pos.tolist())):
         jj = np.flatnonzero(row_pos == b)
-        for c in np.unique(col_pos):
+        for c in sorted(set(col_pos.tolist())):
             kk = np.flatnonzero(col_pos == c)
             mat[np.ix_(jj, kk)] = (
                 (bras[jj] * (-0.5j * d[b, c] - 1j * p[b, c] * dirs[:, 0]))

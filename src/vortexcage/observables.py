@@ -419,18 +419,22 @@ def ring_current_field(current: float, radius: float, sigma: float | None = None
     phi = 2.0 * math.pi * np.arange(n_phi) / n_phi
     w_phi = 2.0 * math.pi / n_phi
     norm = 1.0 / (2.0 * math.pi * sigma * sigma)
-    rr, zz, pp = np.meshgrid(rho, z, phi, indexing="ij")
-    amp = current * norm * np.exp(-((rr - radius) ** 2 + zz**2)
-                                  / (2.0 * sigma * sigma))
-    pts = np.stack([rr * np.cos(pp), rr * np.sin(pp), zz], axis=-1).reshape(-1, 3)
-    jphi = amp.reshape(-1)
-    j = np.stack([-jphi * np.sin(pp).reshape(-1),
-                  jphi * np.cos(pp).reshape(-1),
-                  np.zeros_like(jphi)], axis=-1)
+    # j_phi on (rho, z), cos/sin on phi, broadcast onto (rho, z, phi)
+    amp = current * norm * np.exp(-((rho[:, None] - radius) ** 2
+                                    + z[None, :] ** 2) / (2.0 * sigma * sigma))
+    cos_p, sin_p = np.cos(phi), np.sin(phi)
+    pts = np.empty((n_radial, n_z, n_phi, 3))
+    pts[..., 0] = rho[:, None, None] * cos_p
+    pts[..., 1] = rho[:, None, None] * sin_p
+    pts[..., 2] = z[None, :, None]
+    j = np.zeros((n_radial, n_z, n_phi, 3))
+    j[..., 0] = -amp[:, :, None] * sin_p
+    j[..., 1] = amp[:, :, None] * cos_p
     # cylindrical volume element rho drho dz dphi
     w = (w_rho * rho)[:, None, None] * w_z[None, :, None] * w_phi
     weights = np.broadcast_to(w, (n_radial, n_z, n_phi)).reshape(-1).copy()
-    return CurrentField(points=pts, j=j, weights=weights)
+    return CurrentField(points=pts.reshape(-1, 3), j=j.reshape(-1, 3),
+                        weights=weights)
 
 
 def radial_ring_count(points, j, n_bins: int | None = None,

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -7,7 +8,7 @@ import pytest
 from vortexcage import beam, coupling, dynamics, numerics, structure
 from vortexcage.units import ev_to_hartree
 
-from conftest import DELTA, WAIST, make_pulse
+from conftest import DELTA, GAP_EV, WAIST, make_pulse
 
 
 def reduced_basis(l_cap=1, electrons=8):
@@ -16,6 +17,51 @@ def reduced_basis(l_cap=1, electrons=8):
              dataclasses.replace(ref[1], l_max=l_cap, electron_count=electrons),
              dataclasses.replace(ref[2], l_max=l_cap, electron_count=0))
     return structure.build_basis(bands)
+
+
+def step_loop_oracle(basis, pulse, grid, dt):
+    """Per-step RK4 on dc/dt = A(t) c: four calls of the derivative per step,
+    t accumulated as t += step, the last step cut to end on t1.  Returns the
+    coefficients and the (start, middle, end) times of every step."""
+    states = basis.band_orbitals(2) + basis.band_orbitals(3)
+    sources, _ = coupling.transition_orbitals(basis)
+    t1 = 6.0 / math.sqrt(pulse.delta)
+    t0 = -t1
+    op = coupling.interaction_matrix(pulse, basis, states, states, grid)
+    adj = op.conj().T
+    eps = np.array([o.energy for o in states])[:, None]
+
+    def deriv(t, c):
+        env = math.exp(-pulse.delta * t * t)
+        phase = np.exp(1j * eps * t)
+        h = env * (op * np.exp(-1j * pulse.omega * t)
+                   + adj * np.exp(1j * pulse.omega * t))
+        return -1j * phase * (h @ (c / phase))
+
+    c = np.eye(len(states), dtype=complex)[:, np.isin(
+        [o.index for o in states], [o.index for o in sources])]
+    t = t0
+    times = []
+    for _ in range(int(math.ceil((t1 - t0) / dt))):
+        step = min(dt, t1 - t)
+        times.append((t, t + 0.5 * step, t + step))
+        k1 = deriv(t, c)
+        k2 = deriv(t + 0.5 * step, c + 0.5 * step * k1)
+        k3 = deriv(t + 0.5 * step, c + 0.5 * step * k2)
+        k4 = deriv(t + step, c + step * k3)
+        c = c + (step / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        t += step
+    return c, np.array(times)
+
+
+@pytest.fixture(scope="module")
+def oracle_l2():
+    # the 18-state l <= 2 oracle of acceptance 07
+    basis = reduced_basis(l_cap=2, electrons=18)
+    grid = numerics.build_grid(0.0, 26.8, 160, 12, l_basis_max=2)
+    pulse = beam.VortexPulse(a0=0.004, m_oam=1, omega=ev_to_hartree(GAP_EV),
+                             delta=DELTA, waist=WAIST)
+    return basis, grid, pulse
 
 
 class TestSpectralFactor:
@@ -148,6 +194,56 @@ class TestPropagationOracle:
         _, w_strong = self._population_dev(0.004)
         _, w_weak = self._population_dev(0.002)
         assert w_strong / w_weak == pytest.approx(4.0, rel=0.2)
+
+    def test_matches_step_loop(self):
+        basis, grid, pulse = self.make(0.01)
+        dt = 0.04 * 2 * math.pi / pulse.omega
+        coeffs, states = dynamics.propagate_oracle(basis, pulse, grid, dt)
+        assert len(states) == 8
+        ref, _ = step_loop_oracle(basis, pulse, grid, dt)
+        assert np.abs(coeffs - ref).max() <= 1e-12
+
+    def test_matches_step_loop_half_last_step(self, monkeypatch):
+        # 4,000 steps, the last one half as long as the others; the field
+        # is off at t1, so only the step times show where the last step ends
+        basis, grid, pulse = self.make(0.01)
+        dt = 12.0 / math.sqrt(pulse.delta) / 3999.5
+        assert dt <= 0.05 * 2 * math.pi / pulse.omega
+        seen = []
+        generator = dynamics._generator
+
+        def record(times, *args):
+            seen.append(times)
+            return generator(times, *args)
+
+        monkeypatch.setattr(dynamics, "_generator", record)
+        coeffs, _ = dynamics.propagate_oracle(basis, pulse, grid, dt)
+        ref, ref_times = step_loop_oracle(basis, pulse, grid, dt)
+        assert np.abs(coeffs - ref).max() <= 1e-12
+        assert ref_times.shape == (4000, 3)
+        assert ref_times[-1, 2] - ref_times[-1, 0] == pytest.approx(0.5 * dt)
+        assert np.array_equal(np.concatenate(seen), ref_times)
+
+    def test_matches_step_loop_l2(self, oracle_l2):
+        basis, grid, pulse = oracle_l2
+        dt = 0.04 * 2 * math.pi / pulse.omega
+        coeffs, states = dynamics.propagate_oracle(basis, pulse, grid, dt)
+        assert coeffs.shape == (18, 9)
+        ref, _ = step_loop_oracle(basis, pulse, grid, dt)
+        assert np.abs(coeffs - ref).max() <= 1e-12
+
+    def test_traced_peak_l2(self, oracle_l2):
+        # the propagators are built a block of steps at a time: ~6 MB at
+        # 128 steps a block, ~24 MB at 512
+        basis, grid, pulse = oracle_l2
+        dt = 0.04 * 2 * math.pi / pulse.omega
+        tracemalloc.start()
+        try:
+            dynamics.propagate_oracle(basis, pulse, grid, dt)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 12e6
 
     def test_step_size_validation(self):
         basis, grid, pulse = self.make(0.01)

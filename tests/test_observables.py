@@ -291,7 +291,38 @@ class TestCylindricalDecomposition:
         assert jr < 1e-14 * jp
 
 
+def meshgrid_ring_field(current, radius, sigma=None, n_radial=96, n_z=96,
+                        n_phi=64):
+    """The ring field evaluated on the full (rho, z, phi) meshgrid."""
+    sigma = 0.01 * radius if sigma is None else sigma
+    rho, w_rho = numerics.gauss_legendre(n_radial, radius - 6.0 * sigma,
+                                         radius + 6.0 * sigma)
+    z, w_z = numerics.gauss_legendre(n_z, -6.0 * sigma, 6.0 * sigma)
+    phi = 2.0 * math.pi * np.arange(n_phi) / n_phi
+    w_phi = 2.0 * math.pi / n_phi
+    norm = 1.0 / (2.0 * math.pi * sigma * sigma)
+    rr, zz, pp = np.meshgrid(rho, z, phi, indexing="ij")
+    amp = current * norm * np.exp(-((rr - radius) ** 2 + zz**2)
+                                  / (2.0 * sigma * sigma))
+    pts = np.stack([rr * np.cos(pp), rr * np.sin(pp), zz], axis=-1).reshape(-1, 3)
+    jphi = amp.reshape(-1)
+    j = np.stack([-jphi * np.sin(pp).reshape(-1),
+                  jphi * np.cos(pp).reshape(-1),
+                  np.zeros_like(jphi)], axis=-1)
+    w = (w_rho * rho)[:, None, None] * w_z[None, :, None] * w_phi
+    weights = np.broadcast_to(w, (n_radial, n_z, n_phi)).reshape(-1).copy()
+    return pts, j, weights
+
+
 class TestRingOracle:
+    @pytest.mark.parametrize("sigma", [None, 0.07])
+    def test_matches_meshgrid_bit_for_bit(self, sigma):
+        ring = observables.ring_current_field(0.42, 6.0, sigma=sigma)
+        pts, j, weights = meshgrid_ring_field(0.42, 6.0, sigma=sigma)
+        assert np.array_equal(ring.points, pts)
+        assert np.array_equal(ring.j, j)
+        assert np.array_equal(ring.weights, weights)
+
     def test_moment(self):
         current, radius = 0.37, 5.2
         ring = observables.ring_current_field(current, radius)

@@ -94,15 +94,35 @@ def test_no_module_reads_another_modules_private_names():
     assert not reads
 
 
+def _run_fresh(code):
+    """stdout of ``code`` run in a fresh interpreter that imports this
+    checkout's package."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(Path(vortexcage.__file__).parents[1])]
+        + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
+    return subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                          capture_output=True, text=True).stdout
+
+
 def test_cli_imports_no_test_dependency():
     # scipy, hypothesis and pytest are test extras in pyproject.toml: a
     # command must run without them and not pay for importing them
     code = ("import sys, vortexcage.cli; print(sorted({'scipy', 'hypothesis', "
             "'pytest'} & {name.partition('.')[0] for name in sys.modules}))")
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        [str(Path(vortexcage.__file__).parents[1])]
-        + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
-    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
-                         capture_output=True, text=True).stdout
-    assert out.strip() == "[]"
+    assert _run_fresh(code).strip() == "[]"
+
+
+def test_commands_do_not_import_numpy_ma():
+    # np.unique imports numpy.ma on its first call (numpy 2.x), ~14 ms in a
+    # fresh process; every command builds a transition set
+    code = ("import sys, vortexcage.cli\n"
+            "from vortexcage import beam, coupling, numerics, structure\n"
+            "from vortexcage.units import ev_to_hartree, nm_to_bohr\n"
+            "basis = structure.build_basis()\n"
+            "grid = numerics.build_grid(0.0, 26.8, 40, 26)\n"
+            "pulse = beam.VortexPulse(a0=0.05, m_oam=1, "
+            "omega=ev_to_hartree(8.0), delta=1.6e-5, waist=nm_to_bohr(50.0))\n"
+            "coupling.build_transition_set(basis, grid, pulse)\n"
+            "print('numpy.ma' in sys.modules)")
+    assert _run_fresh(code).strip() == "False"
