@@ -152,11 +152,11 @@ def _scan(run: RunConfig, out_dir: Path, threads: int, command: str, grid,
           families) -> ScanResult:
     """Scan ``(pulse, photon energies in eV, record metadata)`` families.
 
-    Each family's transition set (``coupling.build_transition_set``)
-    tabulates no orbital on the full grid; the one ``observables.scan_kernel``
-    tabulates the targets on the grid once for every family.  One record per
-    (family, energy) goes to ``<command>.csv`` and, if configured,
-    ``<command>_long.csv``.
+    Each family's transition set (``coupling.build_transition_set``) and
+    the one ``observables.scan_kernel`` shared by every family tabulate no
+    orbital on the full grid; the kernel integrates the targets' pair
+    currents on the grid once.  One record per (family, energy) goes to
+    ``<command>.csv`` and, if configured, ``<command>_long.csv``.
     """
     _write_metadata(run, out_dir, command)
     sets = _map(lambda family: coupling.build_transition_set(

@@ -12,6 +12,7 @@ import copy
 import hashlib
 import json
 import math
+import re
 from dataclasses import dataclass
 
 import yaml
@@ -78,6 +79,16 @@ DEFAULTS: dict = {
 }
 
 
+class _Loader(yaml.SafeLoader):
+    """SafeLoader that reads exponent-only numbers (1e-3, 3e13) as floats."""
+
+
+_Loader.add_implicit_resolver(
+    "tag:yaml.org,2002:float",
+    re.compile(r"^[-+]?[0-9][0-9_]*(\.[0-9_]*)?[eE][-+]?[0-9]+$"),
+    list("-+0123456789"))
+
+
 def _deep_merge(base: dict, extra: dict, path="") -> dict:
     out = copy.deepcopy(base)
     for key, val in extra.items():
@@ -97,7 +108,7 @@ def _apply_override(cfg: dict, spec: str) -> None:
     path, raw = spec.split("=", 1)
     keys = path.strip().split(".")
     try:
-        value = yaml.safe_load(raw)
+        value = yaml.load(raw, Loader=_Loader)
     except yaml.YAMLError as exc:
         raise ConfigError(f"cannot parse override value {raw!r}: {exc}") from None
     node = cfg
@@ -116,7 +127,7 @@ def load_config(path=None, overrides=()) -> dict:
     if path is not None:
         try:
             with open(path, encoding="utf-8") as fh:
-                user = yaml.safe_load(fh) or {}
+                user = yaml.load(fh, Loader=_Loader) or {}
         except OSError as exc:
             raise ConfigError(f"cannot read config {path}: {exc}") from None
         except yaml.YAMLError as exc:

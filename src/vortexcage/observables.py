@@ -17,13 +17,12 @@ mu0/(4 pi) = alpha^2 in atomic units; a right-handed (+phi) loop therefore
 gives B_z > 0, pinning the sign convention against the analytic ring.
 
 All of these are linear in the coherences C^g, which alone depend on the
-pulse.  Scans therefore integrate each pair current conj(psi_l) grad psi_l'
-once per grid (``scan_kernel``) and contract the coherences of each scan
-point against those integrals; the sampled path serves plane lattices and
-checks.
+pulse.  Scans therefore integrate each pair current once per grid
+(``scan_kernel``) and contract the coherences of each scan point against
+those integrals; the sampled path serves plane lattices and checks.
 
-The sampled path tabulates no orbital.  With psi_l = R_b Y_l and the
-tangential gradient T_l = r grad Y_l,
+Both paths take one identity and tabulate no orbital.  With psi_l = R_b Y_l
+and the tangential gradient T_l = r grad Y_l,
 
     conj(psi_l) grad psi_l' = R_b R_b' conj(Y_l) Y_l' r-hat
                               + (R_b^2 / r) conj(Y_l) T_l'.
@@ -171,9 +170,9 @@ def current_samples(excitation, basis, points, eta: float = DEFAULT_ETA,
                     charge_convention: str = "electron") -> np.ndarray:
     """DC current density at a grid's or an (n, 3) array's points, (n_pts, 3).
 
-    A QuadratureGrid is read as in ``structure.orbital_tables``: R_b^2 / r
-    on its radial nodes and the angular fields on its angular nodes, joined
-    by broadcasting; an array is taken in blocks of points.
+    A QuadratureGrid is read as R_b^2 / r on its radial nodes and the
+    angular fields on its angular nodes, joined by broadcasting (as in
+    ``scan_kernel``); an array is taken in blocks of points.
     """
     sign = _charge_sign(charge_convention)
     dmats = _coherence_matrices(excitation, basis, eta)
@@ -205,18 +204,19 @@ def sample_current(excitation, basis, grid, eta: float = DEFAULT_ETA,
 class ScanKernel:
     """Grid integrals of every coherence-pair current of a target set.
 
-    With X = conj(psi_l) grad psi_l' for l, l' in one block, the current is
-    j = sum_q u_q F_q over rows q that pair u = 2 Re C_ll' with F = Im X
-    and u = 2 Im C_ll' with F = Re X (a diagonal pair has only the first,
-    as C_ll is real).  Moment, center field and the cylindrical components
-    are linear in j, so each is taken per row once and a scan point only
-    contracts its coherences against them.
+    With Z = (R_b^2 / r) conj(Y_l) T_l' for rows l, l' of one block, the
+    current is j = sum_q u_q F_q over rows q that pair u = 2 Re C_ll' with
+    F = Im Z and u = 2 Im C_ll' with F = Re Z (a diagonal pair has only the
+    first, as C_ll is real; the r-hat part of conj(psi_l) grad psi_l'
+    cancels, as in ``current_samples``).  Moment, center field and the
+    cylindrical components are linear in j, so each is taken per row once
+    and a scan point only contracts its coherences against them.
     """
 
     targets: tuple[int, ...]      # basis indices, in transition-set row order
     left: np.ndarray              # target row l of each pair row
     right: np.ndarray             # target row l' of each pair row
-    imag_coherence: np.ndarray    # True where u = 2 Im C (F = Re X)
+    imag_coherence: np.ndarray    # True where u = 2 Im C (F = Re Z)
     moment: np.ndarray            # (n_rows, 3) moment of each row field, a.u.
     b_center: np.ndarray          # (n_rows, 3) center field of each row, a.u.
     components: np.ndarray        # (3, n_rows, n_pts) F along rho, phi, z
@@ -244,23 +244,27 @@ def scan_kernel(basis, grid, eta: float = DEFAULT_ETA,
                 r_cut: float = DEFAULT_R_CUT) -> ScanKernel:
     """``ScanKernel`` of the ``coupling.transition_orbitals`` targets.
 
-    It tabulates the targets on the grid once; every scan point that
-    excites these targets on this grid then reuses the integrals.
+    Row q's field is ``_current_block`` with D = (1/2) conj(c_l) c_l'^T
+    (times i for F = Re Z; c the targets' coefficient rows) on the grid's
+    radial and angular nodes.  Every scan point that excites these targets
+    on this grid then reuses the integrals.
     """
     _, targets = coupling.transition_orbitals(basis)
-    psi, grad = structure.orbital_tables(basis, targets, grid)
     sign = _charge_sign(charge_convention)
     rows = [(l, lp, imag_c) for block in _coherence_blocks(targets, eta)
             for l in block for lp in block
             for imag_c in ((False,) if l == lp else (False, True))]
+    r, dirs = grid.radial_nodes[:, None], grid.angular_nodes
     pts, w = grid.points, grid.weights
     moment = np.empty((len(rows), 3))
     b_center = np.empty((len(rows), 3))
     components = np.empty((3, len(rows), len(w)))
     for q, (l, lp, imag_c) in enumerate(rows):
-        x = psi[l].conj()[:, None] * grad[lp]
-        field = CurrentField(points=pts, j=sign * (x.real if imag_c else x.imag),
-                             weights=w)
+        orb = targets[l]
+        d = 0.5 * np.outer(orb.coeffs.conj(), targets[lp].coeffs)
+        j = _current_block(basis, {(orb.band_pos, orb.l): 1j * d if imag_c
+                                   else d}, r, dirs)
+        field = CurrentField(points=pts, j=sign * j, weights=w)
         moment[q] = magnetic_moment(field)
         b_center[q] = b_field_center(field, r_cut=r_cut, warn=False)
         components[:, q] = _cylindrical_components(field)

@@ -12,14 +12,13 @@ Evaluation builds one table of Y_lm and its two angular derivatives over
 all (l, m) up to the largest l requested, with the theta-hat and phi-hat
 frame (``harmonic_frame``), and contracts each orbital's (2l+1)-entry
 coefficient block against it (``angular_tables``), so one-hot and
-symmetry-table orbitals share one path.  ``orbital_tables`` is the one
-evaluator of values and gradients, at a single point as on a whole grid.
-On a QuadratureGrid the radial parts are taken on the radial nodes and the
-angular parts on the angular nodes only.  For the same reason product-grid
-integrals factorise: the Gram <psi_i|psi_j> = G_rad[b_i, b_j] * G_ang[i, j]
-is a band Gram over the radial rule times the Gram of the angular parts over
-the angular rule, so ``product_grid_gram``, like
-``coupling.interaction_matrix``, tabulates no orbital on the full grid.
+symmetry-table orbitals share one path.  ``orbital_tables`` evaluates
+values and gradients at points (``check``'s gradient stencil, the tests'
+reference).  On a product grid nothing tabulates an orbital: each is a
+radial profile times an angular part, so the Gram <psi_i|psi_j> =
+G_rad[b_i, b_j] * G_ang[i, j] is a band Gram over the radial rule times the
+Gram of the angular parts over the angular rule (``product_grid_gram``), and
+``coupling.interaction_matrix`` and the ``observables`` currents factor alike.
 """
 
 from __future__ import annotations
@@ -323,8 +322,9 @@ def harmonic_frame(lmax: int, dirs):
     each (n_lm, n), and the unit vectors theta-hat and phi-hat, each (n, 3).
     The tangential gradient r grad Y_lm is dth theta-hat + dph phi-hat.
     """
+    # sin theta from x and y: sqrt(1 - cos^2) rounds to 0 near the axis
     ct = np.clip(dirs[:, 2], -1.0, 1.0)
-    st, phi = np.sqrt(np.maximum(0.0, 1.0 - ct * ct)), np.arctan2(
+    st, phi = np.hypot(dirs[:, 0], dirs[:, 1]), np.arctan2(
         dirs[:, 1], dirs[:, 0])
     y, dth, dph = _harmonic_tables(lmax, ct, st, phi)
     that = np.stack([ct * np.cos(phi), ct * np.sin(phi), -st], axis=1)
@@ -344,29 +344,38 @@ _ORIGIN_LIMITS = np.array([[_Y00, 0.0, 0.0, _Y00],
 
 
 def orbital_tables(basis: Basis, orbitals, points):
-    """Vectorized values and gradients for a set of orbitals.
+    """Vectorized values and gradients for a set of orbitals at points.
 
-    ``points`` is a QuadratureGrid, read as its radial nodes times its
-    angular nodes (joined by broadcasting in ``points`` order), or an
-    (n, 3) array with one radius and direction per point.  Returns
-    (psi, grad) with shapes (n_orb, n_pts) and (n_orb, n_pts, 3).  At r = 0
-    the (regularized) +z-axis limit is used: psi vanishes for l >= 1, the
-    gradient for l >= 2.
+    ``points`` is (n, 3), or converts to it (a QuadratureGrid gives its
+    ``points``); the harmonics are built per block of ``POINT_BLOCK``
+    points.  Returns (psi, grad) with shapes (n_orb, n) and (n_orb, n, 3).
+    At r = 0 the (regularized) +z-axis limit is used: psi vanishes for
+    l >= 1, the gradient for l >= 2.
     """
     orbitals = list(orbitals)
-    if isinstance(points, numerics.QuadratureGrid):
-        r, dirs = points.radial_nodes[:, None], points.angular_nodes
-        n_pts = step = len(points.weights)
-    else:
-        pts = np.atleast_2d(np.asarray(points, dtype=float))
-        r = np.linalg.norm(pts, axis=1)
-        dirs = pts / np.where(r > 0.0, r, 1.0)[:, None]
-        n_pts, step = len(r), POINT_BLOCK
-    psi = np.empty((len(orbitals), n_pts), dtype=complex)
-    grad = np.empty((len(orbitals), n_pts, 3), dtype=complex)
-    for i in range(0, n_pts, step):
-        _fill_tables(basis, orbitals, r[i:i + step], dirs[i:i + step],
-                     psi[:, i:i + step], grad[:, i:i + step])
+    pts = np.atleast_2d(np.asarray(points, dtype=float))
+    r = np.linalg.norm(pts, axis=1)
+    safe_r = np.where(r > 0.0, r, 1.0)
+    dirs, inv_r = pts / safe_r[:, None], 1.0 / safe_r
+    rad, drad = basis.shells.values(r), basis.shells.derivatives(r)
+    psi = np.empty((len(orbitals), len(r)), dtype=complex)
+    grad = np.empty((len(orbitals), len(r), 3), dtype=complex)
+    for i in range(0, len(r), POINT_BLOCK):
+        blk = slice(i, i + POINT_BLOCK)
+        parts = _angular_parts(orbitals, dirs[blk])
+        for k, (orb, (ang, tang)) in enumerate(zip(orbitals, parts)):
+            b = orb.band_pos
+            psi[k, blk] = rad[b, blk] * ang
+            grad[k, blk] = (drad[b, blk, None] * (ang[:, None] * dirs[blk])
+                            + (rad[b, blk] * inv_r[blk])[:, None] * tang)
+    origin = r == 0.0
+    lmax = max((o.l for o in orbitals), default=0)
+    lim = np.zeros(((lmax + 2) ** 2, 4), dtype=complex)
+    lim[:4] = _ORIGIN_LIMITS
+    for k, orb in enumerate(orbitals):
+        at0 = orb.coeffs @ lim[orb.l ** 2:(orb.l + 1) ** 2]
+        psi[k, origin] = rad[orb.band_pos, origin] * at0[0]
+        grad[k, origin] = drad[orb.band_pos, origin, None] * at0[1:]
     return psi, grad
 
 
@@ -395,32 +404,6 @@ def angular_tables(orbitals, dirs):
     for k, (ang, tang) in enumerate(_angular_parts(orbitals, dirs)):
         y[k], t[k] = ang, tang
     return y, t
-
-
-def _fill_tables(basis, orbitals, r, dirs, psi, grad):
-    """Write the orbitals at the broadcast product of radii r and unit
-    directions dirs into psi (n_orb, n) and grad (n_orb, n, 3), one orbital
-    at a time."""
-    rad = basis.shells.values(r.ravel()).reshape((-1,) + r.shape)
-    drad = basis.shells.derivatives(r.ravel()).reshape((-1,) + r.shape)
-    inv_r = 1.0 / np.where(r > 0.0, r, 1.0)
-    shape = np.broadcast_shapes(r.shape, (len(dirs),))
-    origin = np.flatnonzero(np.broadcast_to(r == 0.0, shape))
-    lmax = max((o.l for o in orbitals), default=0)
-    lim = np.zeros(((lmax + 2) ** 2, 4), dtype=complex)
-    lim[:4] = _ORIGIN_LIMITS
-    rad0 = basis.shells.values(np.zeros(1))[:, 0]
-    drad0 = basis.shells.derivatives(np.zeros(1))[:, 0]
-    parts = _angular_parts(orbitals, dirs)
-    for k, (orb, (ang, tang)) in enumerate(zip(orbitals, parts)):
-        b = orb.band_pos
-        np.multiply(rad[b], ang, out=psi[k].reshape(shape))
-        g = grad[k].reshape(shape + (3,))
-        np.multiply(drad[b][..., None], ang[:, None] * dirs, out=g)
-        g += (rad[b] * inv_r)[..., None] * tang
-        at0 = orb.coeffs @ lim[orb.l ** 2:(orb.l + 1) ** 2]
-        psi[k, origin] = rad0[b] * at0[0]
-        grad[k, origin] = drad0[b] * at0[1:]
 
 
 def product_grid_gram(basis: Basis, orbitals,

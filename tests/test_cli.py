@@ -5,7 +5,7 @@ import tracemalloc
 import pytest
 import yaml
 
-from vortexcage import cli, config, dynamics, numerics, structure
+from vortexcage import cli, config, dynamics, structure
 from vortexcage.units import nm_to_bohr
 
 
@@ -62,6 +62,26 @@ class TestConfig:
             config.load_config(overrides=["pulse.no_such=1"])
         with pytest.raises(config.ConfigError):
             config.load_config(overrides=["pulse.m_oam"])
+
+    def test_exponent_only_numbers_are_floats(self, tmp_path):
+        # YAML 1.1 reads 1e-3 and 3e13 as strings (no dot in the mantissa)
+        dotted = config.config_hash(config.load_config(
+            overrides=["numerics.r_cut_bohr=1.0e-3"]))
+        path = tmp_path / "run.yaml"
+        path.write_text("numerics:\n  r_cut_bohr: 1e-3\n")
+        for cfg in (config.load_config(path),
+                    config.load_config(overrides=["numerics.r_cut_bohr=1e-3"])):
+            assert cfg["numerics"]["r_cut_bohr"] == 1e-3
+            assert config.config_hash(cfg) == dotted
+        cfg = config.load_config(overrides=["pulse.intensity_w_cm2=3e13"])
+        assert config.config_hash(cfg) == \
+            config.config_hash(config.load_config())
+        cfg = config.load_config(overrides=["pulse.m_oam=0x2",
+                                            "numerics.n_radial=80",
+                                            "output.directory=1e3x"])
+        assert cfg["pulse"]["m_oam"] == 2
+        assert cfg["numerics"]["n_radial"] == 80
+        assert cfg["output"]["directory"] == "1e3x"
 
     def test_hash_stability(self):
         a = config.config_hash(config.load_config())
@@ -195,31 +215,24 @@ class TestChargeSweepCommand:
 
 
 class TestScanTabulation:
-    @pytest.mark.parametrize("command, many, one", [
-        ("charge-sweep", "scan.charges=[0, 1, 2, 3]", "scan.charges=[1]"),
-        ("heatmap", "scan.rho0_ratios=[0.5, 1.0]", "scan.rho0_ratios=[0.5]"),
-    ])
-    def test_orbitals_tabulated_once_per_grid(self, tmp_path, monkeypatch,
-                                              command, many, one):
-        # the transition sets tabulate no orbital; the one scan kernel
-        # tabulates the targets once, however many families there are
+    @pytest.mark.parametrize("command", ["spectrum", "heatmap",
+                                         "charge-sweep"])
+    def test_scans_tabulate_no_orbital(self, tmp_path, monkeypatch, command):
+        # transition sets and the scan kernel take radial factors on the
+        # radial nodes and angular fields on the angular nodes
         calls = []
         tabulate = structure.orbital_tables
 
         def spy(basis, orbitals, points, **kw):
-            calls.append(isinstance(points, numerics.QuadratureGrid))
+            calls.append(len(orbitals))
             return tabulate(basis, orbitals, points, **kw)
 
         monkeypatch.setattr(structure, "orbital_tables", spy)
-        counts = []
-        for i, override in enumerate((many, one)):
-            calls.clear()
-            assert cli.main(["--out", str(tmp_path / str(i)),
-                             "--override", override, "--override", FAST_SCAN,
-                             command]) == 0
-            assert all(calls)                   # product grid only
-            counts.append(len(calls))
-        assert counts[0] == counts[1] == 1
+        assert cli.main(["--out", str(tmp_path), "--override", FAST_SCAN,
+                         "--override", "scan.rho0_ratios=[0.5, 1.0]",
+                         "--override", "scan.charges=[0, 1, 2, 3]",
+                         command]) == 0
+        assert calls == []
 
     def test_planes_tabulates_no_orbital(self, tmp_path, monkeypatch):
         # the lattices are R_b^2 / r times angular quadratic forms

@@ -611,6 +611,18 @@ class TestScanKernel:
                                   amplitudes=amps)
         compare_kernel_to_sampled(kernel, exc, symmetry_basis, grid)
 
+    def test_kernel_memory(self, basis):
+        # the rows are R_b^2 / r times angular fields: no orbital or
+        # gradient table over the 44,160 points of the default grid
+        grid = config.RunConfig.resolve(config.load_config()).make_grid()
+        tracemalloc.start()
+        try:
+            observables.scan_kernel(basis, grid)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 40e6
+
     def test_refuses_other_targets(self, basis, grid, exc_m1):
         kernel = observables.scan_kernel(basis, grid)
         kernel = dataclasses.replace(kernel, targets=kernel.targets[:-1])

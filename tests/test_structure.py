@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 import scipy.integrate
 import scipy.special
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from vortexcage import numerics, structure
 from vortexcage.units import HARTREE_EV
@@ -279,20 +279,12 @@ _point = st.one_of(st.tuples(_coord, _coord, _coord),
 
 
 class TestEvaluationLayouts:
-    def test_grid_matches_point_array(self, basis):
-        grid = numerics.build_grid(0.0, 26.8, 32, 2 * basis.l_max + 4)
-        psi_g, grad_g = structure.orbital_tables(basis, basis.orbitals, grid)
-        psi_p, grad_p = structure.orbital_tables(basis, basis.orbitals,
-                                                 grid.points)
-        for a, b in ((psi_g, psi_p), (grad_g, grad_p)):
-            axes = tuple(range(1, a.ndim))
-            scale = np.abs(b).max(axis=axes)
-            assert np.all(np.abs(a - b).max(axis=axes) <= 1e-13 * scale)
-
     @settings(max_examples=60, deadline=None)
     @given(l=st.integers(0, 3), band_pos=st.integers(0, 2),
            seed=st.integers(0, 2**32 - 1),
            points=st.lists(_point, min_size=1, max_size=8))
+    # 6e-8 bohr off the z axis: sin theta must not round to 0 there
+    @example(l=1, band_pos=0, seed=0, points=[(0.0, 2.0 ** -24, 4.49609375)])
     def test_table_coefficients_match_tabulated_harmonic(
             self, basis, l, band_pos, seed, points):
         orbs = _random_block(basis, l, band_pos, seed)
@@ -300,7 +292,7 @@ class TestEvaluationLayouts:
 
         def reference(p):
             r = np.linalg.norm(p, axis=1)
-            theta = np.arccos(np.clip(p[:, 2] / np.where(r > 0, r, 1.0), -1, 1))
+            theta = np.arctan2(np.hypot(p[:, 0], p[:, 1]), p[:, 2])
             phi = np.arctan2(p[:, 1], p[:, 0])
             ylm = np.array([tabulated_harmonic(m, l, theta, phi)
                             for m in range(-l, l + 1)])
