@@ -2,14 +2,18 @@
 
 The positive-frequency part of the vector potential is
 
-    A+(r, t) = xhat * C * f(rho') * exp(i m phi') * exp(-i w t) * exp(-d t^2)
+    A+(r, t) = xhat * C * u(z) * exp(-i w t) * exp(-d t^2),
+    u(z) = L_p^|m|(2|z|^2) (sqrt2 z)^|m| exp(-|z|^2),
 
-with rho', phi' measured from the optical axis (offset from the cage center
-by ``offset``); the physical field is A+ + c.c.  The longitudinal phase
-exp(i omega z / c) is dropped (omega z / c << 1 on the cage scale).  Peak-amplitude
-normalization makes max_rho |C f| = a0 for every topological charge; the
-printed-formula variant (peak suppressed by exp(-|m|)) stays available
-behind ``legacy_normalization``.
+with z = (x' + i sgn(m) y') / w0 the transverse position measured from the
+optical axis (offset from the cage center by ``offset``); the physical field
+is A+ + c.c.  In polar form u = f(rho') exp(i m phi'): the vortex phase
+exp(i m phi') is the phase of (x' +- i y')^|m|, so no polar angle is needed
+and the axis is an ordinary point.  The longitudinal phase exp(i omega r_z / c)
+along the propagation axis is dropped (omega r_z / c << 1 on the cage scale).
+Peak-amplitude normalization makes max_rho |C f| = a0 for every topological
+charge; the printed-formula variant (peak suppressed by exp(-|m|)) stays
+available behind ``legacy_normalization``.
 """
 
 from __future__ import annotations
@@ -56,34 +60,43 @@ def normalization(a0: float, m_oam: int, p: int = 0,
         if legacy_normalization:
             return a0 / math.exp(half * math.log(m) + half)
         return a0 / math.exp(half * math.log(m) - half)
-    # p > 0: deterministic scan + ternary refinement of |ring factor| in
+    # p > 0: deterministic scan + ternary refinement of |mode| in
     # u = rho/w0; the peak value does not depend on w0.
     u = np.linspace(0.0, math.sqrt(0.5 * (m + 4 * p + 4)) + 2.0, 20001)
-    g = np.abs(_ring_factor(u, m, p))
-    k = int(np.argmax(g))
+    k = int(np.argmax(np.abs(_mode(u, m, p))))
     lo, hi = u[max(k - 1, 0)], u[min(k + 1, len(u) - 1)]
     for _ in range(80):
         u1 = lo + (hi - lo) / 3.0
         u2 = hi - (hi - lo) / 3.0
-        if abs(_ring_factor(u1, m, p)) < abs(_ring_factor(u2, m, p)):
+        if abs(_mode(u1, m, p)) < abs(_mode(u2, m, p)):
             lo = u1
         else:
             hi = u2
-    peak = abs(_ring_factor(0.5 * (lo + hi), m, p))
-    return a0 / peak
+    return a0 / abs(_mode(0.5 * (lo + hi), m, p))
 
 
-def _ring_factor(u, m: int, p: int):
-    """exp(-u^2) (sqrt(2) u)^|m| L_p^|m|(2 u^2) for u = rho/w0."""
-    shape = np.shape(u)
-    u = np.atleast_1d(np.asarray(u, dtype=float))
-    lag = np.atleast_1d(laguerre(p, m, 2.0 * u * u))
-    if m == 0:
-        return (np.exp(-u * u) * lag).reshape(shape)
-    out = np.zeros_like(u)
-    pos = u > 0.0
-    out[pos] = np.exp(m * np.log(math.sqrt(2.0) * u[pos]) - u[pos] ** 2)
-    return (out * lag).reshape(shape)
+def _mode(z, m: int, p: int, with_dx: bool = False):
+    """Mode L_p^m(2|z|^2) (sqrt2 z)^m exp(-|z|^2) for m >= 0.
+
+    z is rho/w0 (real) or the transverse position (x' +- i y')/w0.  The
+    Gaussian is split as h^(m+1) with h = exp(-|z|^2/(m+1)), and the mode is
+    L (sqrt2 z h)^m h: |sqrt2 z h| <= sqrt((m+1)/e), so every factor stays
+    bounded on and off the axis.  ``with_dx`` also returns w0 d/dx' of the
+    mode, 2 Re z (2 L' - L) (sqrt2 z h)^m h + sqrt2 m L (sqrt2 z h)^(m-1) h^2
+    with L' = -L_{p-1}^{m+1}.
+    """
+    s = z.real ** 2 + z.imag ** 2
+    h = np.exp(-s / (m + 1))
+    q = math.sqrt(2.0) * z * h
+    lag = laguerre(p, m, 2.0 * s)
+    qm_h = q ** m * h
+    if not with_dx:
+        return lag * qm_h
+    dlag = -laguerre(p - 1, m + 1, 2.0 * s) if p else 0.0
+    dx = 2.0 * z.real * (2.0 * dlag - lag) * qm_h
+    if m:
+        dx = dx + math.sqrt(2.0) * m * lag * q ** (m - 1) * h * h
+    return lag * qm_h, dx
 
 
 @dataclass(frozen=True)
@@ -115,26 +128,19 @@ class VortexPulse:
         """Intensity implied by I = (1/2) eps0 c (omega a0)^2."""
         return (self.omega * self.a0) ** 2 * AU_INTENSITY_W_CM2
 
-    def transverse(self, points):
-        """(rho', phi') of points relative to the optical axis."""
-        pts = np.atleast_2d(np.asarray(points, dtype=float))
-        dx = pts[:, 0] - self.offset[0]
-        dy = pts[:, 1] - self.offset[1]
-        return np.hypot(dx, dy), np.arctan2(dy, dx)
-
     def spatial_amplitude(self, points):
         """Positive-frequency spatial factors (A_x, dA_x/dx) at points.
 
         Time factors exp(-i w t) exp(-d t^2) are excluded; they multiply
         both returns unchanged.
         """
-        rho, phi = self.transverse(points)
-        f, fp, f_over_rho = _profile_with_derivative(self, rho)
-        phase = np.exp(1j * self.m_oam * phi)
-        a_x = f * phase
-        div = phase * (fp * np.cos(phi)
-                       - 1j * self.m_oam * f_over_rho * np.sin(phi))
-        return a_x, div
+        pts = np.atleast_2d(np.asarray(points, dtype=float))
+        w, sign = self.waist, math.copysign(1.0, self.m_oam)
+        z = ((pts[:, 0] - self.offset[0])
+             + 1j * sign * (pts[:, 1] - self.offset[1])) / w
+        mode, dx = _mode(z, abs(self.m_oam), self.p, with_dx=True)
+        c = self.amplitude_norm
+        return c * mode, (c / w) * dx
 
 
 def mode_profile(pulse: VortexPulse, rho) -> np.ndarray:
@@ -142,42 +148,8 @@ def mode_profile(pulse: VortexPulse, rho) -> np.ndarray:
     rho = np.asarray(rho, dtype=float)
     if np.any(rho < 0.0):
         raise ValueError("rho must be nonnegative")
-    return pulse.amplitude_norm * _ring_factor(rho / pulse.waist,
-                                               abs(pulse.m_oam), pulse.p)
-
-
-def _profile_with_derivative(pulse: VortexPulse, rho):
-    """f(rho), f'(rho) and the limit-safe ratio f(rho)/rho."""
-    m, p, w = abs(pulse.m_oam), pulse.p, pulse.waist
-    c = pulse.amplitude_norm
-    rho = np.asarray(rho, dtype=float)
-    s = 2.0 * rho * rho / (w * w)
-    lag = laguerre(p, m, s)
-    dlag_ds = -laguerre(p - 1, m + 1, s) if p > 0 else np.zeros_like(s)
-    f = c * _ring_factor(rho / w, m, p)
-    pos = rho > 0.0
-    fp = np.zeros_like(rho)
-    f_over_rho = np.zeros_like(rho)
-    # common factor without the Laguerre part
-    base = np.zeros_like(rho)
-    if m == 0:
-        base[:] = c * np.exp(-(rho / w) ** 2)
-    else:
-        base[pos] = c * np.exp(m * np.log(math.sqrt(2.0) * rho[pos] / w)
-                               - (rho[pos] / w) ** 2)
-    if m == 0:
-        fp = base * (-2.0 * rho / w**2 * lag + dlag_ds * 4.0 * rho / w**2)
-        f_over_rho[pos] = f[pos] / rho[pos]
-        f_over_rho[~pos] = 0.0   # multiplied by m = 0 anyway
-    else:
-        fp[pos] = f[pos] * (m / rho[pos] - 2.0 * rho[pos] / w**2) \
-            + base[pos] * dlag_ds[pos] * 4.0 * rho[pos] / w**2
-        f_over_rho[pos] = f[pos] / rho[pos]
-        if m == 1:
-            edge = c * math.sqrt(2.0) / w * laguerre(p, 1, 0.0)
-            fp[~pos] = edge
-            f_over_rho[~pos] = edge
-    return f, fp, f_over_rho
+    return pulse.amplitude_norm * _mode(rho / pulse.waist, abs(pulse.m_oam),
+                                        pulse.p)
 
 
 def envelope_fwhm(delta: float) -> float:

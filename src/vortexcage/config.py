@@ -20,8 +20,9 @@ import yaml
 from . import structure
 from .beam import VortexPulse, delta_from_fwhm_fs, rho_max
 from .coupling import transition_orbitals
+from .dynamics import VALIDITY_THRESHOLD
 from .numerics import build_grid, check_grid_args
-from .observables import MIN_PLANE_RESOLUTION
+from .observables import DEFAULT_R_CUT, MIN_PLANE_RESOLUTION
 from .units import ev_to_hartree, field_amplitude_au, nm_to_bohr
 
 __all__ = ["ConfigError", "RunConfig", "config_hash", "load_config"]
@@ -61,8 +62,8 @@ DEFAULTS: dict = {
         "n_radial": 160,
         "angular_margin": 6,
         "r_max_factor": 4.0,
-        "r_cut_bohr": 0.5,
-        "validity_threshold": 0.05,
+        "r_cut_bohr": DEFAULT_R_CUT,
+        "validity_threshold": VALIDITY_THRESHOLD,
         "charge_convention": "electron",
     },
     "scan": {

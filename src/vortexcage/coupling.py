@@ -106,23 +106,22 @@ def transition_orbitals(basis: structure.Basis):
     return occupied, unoccupied
 
 
-def build_transition_set(basis: structure.Basis, grid: QuadratureGrid, pulse,
-                         prune: bool = True) -> TransitionSet:
+def build_transition_set(basis: structure.Basis, grid: QuadratureGrid,
+                         pulse) -> TransitionSet:
     """All (occupied band-2) x (unoccupied band-3) elements.
 
     Rows follow the targets, columns the sources of
     ``transition_orbitals``.  Entries below 1e-14 * max|M| are zeroed and
-    recorded in ``pruned``.
+    recorded in ``pruned``; ``interaction_matrix`` gives the raw matrix.
     """
     sources, targets = transition_orbitals(basis)
     mat = interaction_matrix(pulse, basis, targets, sources, grid)
     pruned = ()
-    if prune:
-        scale = float(np.max(np.abs(mat))) if mat.size else 0.0
-        if scale > 0.0:
-            mask = (np.abs(mat) < PRUNE_RELATIVE * scale) & (mat != 0.0)
-            pruned = tuple((int(j), int(k)) for j, k in zip(*np.nonzero(mask)))
-            mat = np.where(mask, 0.0, mat)
+    scale = float(np.max(np.abs(mat))) if mat.size else 0.0
+    if scale > 0.0:
+        mask = (np.abs(mat) < PRUNE_RELATIVE * scale) & (mat != 0.0)
+        pruned = tuple((int(j), int(k)) for j, k in zip(*np.nonzero(mask)))
+        mat = np.where(mask, 0.0, mat)
     return TransitionSet(
         occupied=tuple(o.index for o in sources),
         unoccupied=tuple(o.index for o in targets),

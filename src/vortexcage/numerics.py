@@ -93,8 +93,7 @@ class QuadratureGrid:
     sampled function f is sum_ij radial_weights[i] * angular_weights[j] * f_ij.
     The angular rule (Gauss-Legendre in cos theta, uniform in phi) integrates
     products of spherical harmonics exactly up to combined degree
-    ``angular_order``.  The grid is array-like (``np.asarray(grid)`` gives
-    ``points``), so functions taking points also take the grid.
+    ``angular_order``.  ``points`` lists every node as an (n, 3) array.
     """
 
     radial_nodes: np.ndarray
@@ -107,9 +106,6 @@ class QuadratureGrid:
     r_max: float
     _points: np.ndarray = field(repr=False, default=None)
     _weights: np.ndarray = field(repr=False, default=None)
-
-    def __array__(self, dtype=None, copy=None):
-        return np.array(self._points, dtype=dtype, copy=copy)
 
     @property
     def points(self) -> np.ndarray:

@@ -346,11 +346,11 @@ _ORIGIN_LIMITS = np.array([[_Y00, 0.0, 0.0, _Y00],
 def orbital_tables(basis: Basis, orbitals, points):
     """Vectorized values and gradients for a set of orbitals at points.
 
-    ``points`` is (n, 3), or converts to it (a QuadratureGrid gives its
-    ``points``); the harmonics are built per block of ``POINT_BLOCK``
-    points.  Returns (psi, grad) with shapes (n_orb, n) and (n_orb, n, 3).
-    At r = 0 the (regularized) +z-axis limit is used: psi vanishes for
-    l >= 1, the gradient for l >= 2.
+    ``points`` is (n, 3) (for a QuadratureGrid, pass ``grid.points``); the
+    harmonics are built per block of ``POINT_BLOCK`` points.  Returns
+    (psi, grad) with shapes (n_orb, n) and (n_orb, n, 3).  At r = 0 the
+    (regularized) +z-axis limit is used: psi vanishes for l >= 1, the
+    gradient for l >= 2.
     """
     orbitals = list(orbitals)
     pts = np.atleast_2d(np.asarray(points, dtype=float))

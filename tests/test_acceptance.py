@@ -69,9 +69,13 @@ def charge_data(abasis, agrid):
 
 @pytest.fixture(scope="module")
 def selection_sets(abasis, agrid):
-    return {m: coupling.build_transition_set(abasis, agrid, pulse_for(m),
-                                       prune=False)
+    """Unpruned M for m = 0..9 with its targets (rows) and sources
+    (columns)."""
+    sources, targets = coupling.transition_orbitals(abasis)
+    mats = {m: coupling.interaction_matrix(pulse_for(m), abasis, targets,
+                                           sources, agrid)
             for m in range(0, 10)}
+    return mats, targets, sources
 
 
 def test_01_null_vortex(abasis, agrid, charge_data):
@@ -94,33 +98,33 @@ def test_01_null_vortex(abasis, agrid, charge_data):
                   f"{ref_mz:.2e}/{ref_b:.2e} (tolerance 1e-10 relative)")
 
 
-def test_02_azimuthal_selection(abasis, selection_sets):
+def test_02_azimuthal_selection(selection_sets):
     # charges whose allowed channels are all Pauli-blocked leave the whole
     # matrix at rounding level; scale those against the sweep-wide maximum
-    global_max = max(ts.max_abs() for ts in selection_sets.values())
+    mats, targets, sources = selection_sets
+    global_max = max(np.abs(mat).max() for mat in mats.values())
     worst = 0.0
-    for m, ts in selection_sets.items():
-        scale = max(ts.max_abs(), 1e-12 * global_max)
-        for jr, j in enumerate(ts.unoccupied):
-            for kc, k in enumerate(ts.occupied):
-                dm = abasis.orbitals[j].lam - abasis.orbitals[k].lam
-                if dm not in (m - 1, m + 1):
-                    worst = max(worst, abs(ts.matrix[jr, kc]) / scale)
+    for m, mat in mats.items():
+        scale = max(np.abs(mat).max(), 1e-12 * global_max)
+        for jr, oj in enumerate(targets):
+            for kc, ok in enumerate(sources):
+                if oj.lam - ok.lam not in (m - 1, m + 1):
+                    worst = max(worst, abs(mat[jr, kc]) / scale)
     report(2, worst < 1e-10,
            f"azimuthal rule m_j - m_k = m_oam +- 1 for m_oam in 0..9: "
            f"worst off-channel |M|/max|M| = {worst:.2e} (tolerance 1e-10)")
 
 
-def test_03_parity_selection(abasis, selection_sets):
-    global_max = max(ts.max_abs() for ts in selection_sets.values())
+def test_03_parity_selection(selection_sets):
+    mats, targets, sources = selection_sets
+    global_max = max(np.abs(mat).max() for mat in mats.values())
     worst = 0.0
-    for m, ts in selection_sets.items():
-        scale = max(ts.max_abs(), 1e-12 * global_max)
-        for jr, j in enumerate(ts.unoccupied):
-            for kc, k in enumerate(ts.occupied):
-                lsum = abasis.orbitals[j].l + abasis.orbitals[k].l + abs(m) + 1
-                if lsum % 2 == 1:
-                    worst = max(worst, abs(ts.matrix[jr, kc]) / scale)
+    for m, mat in mats.items():
+        scale = max(np.abs(mat).max(), 1e-12 * global_max)
+        for jr, oj in enumerate(targets):
+            for kc, ok in enumerate(sources):
+                if (oj.l + ok.l + abs(m) + 1) % 2 == 1:
+                    worst = max(worst, abs(mat[jr, kc]) / scale)
     report(3, worst < 1e-10,
            f"parity rule l_k + l_j + |m_oam| + 1 even: worst violating "
            f"|M|/max|M| = {worst:.2e} (tolerance 1e-10)")

@@ -118,6 +118,37 @@ class TestVectorPotential:
             mags.append(abs(vector_potential(p, pt)))
         assert np.ptp(mags) < 1e-12 * mags[0]
 
+    def test_matches_polar_form(self):
+        # the mode written in polar form, f(rho') exp(i m phi'), against the
+        # Cartesian product at the scale of each field
+        rng = np.random.default_rng(7)
+        pts = np.vstack([rng.uniform(-3.0 * WAIST, 3.0 * WAIST, (400, 3)),
+                         rng.uniform(-40.0, 40.0, (100, 3))])
+        for m in range(-12, 13):
+            for p in (0, 2):
+                pulse = make_pulse(m, rho0=150.0, p=p)
+                dx, dy = pts[:, 0] - 150.0, pts[:, 1]
+                ref = beam.mode_profile(pulse, np.hypot(dx, dy)) \
+                    * np.exp(1j * m * np.arctan2(dy, dx))
+                a_x = pulse.spatial_amplitude(pts)[0]
+                assert np.abs(a_x - ref).max() <= 1e-13 * np.abs(ref).max()
+
+    def test_high_charge_stays_finite(self):
+        # |m| = 40 far off the axis underflows to exact zeros, with no
+        # overflow or invalid value on the way (at 1e12 bohr an unsplit
+        # (sqrt2 z)^40 alone would overflow); on its ring it peaks at a0
+        pts = np.random.default_rng(5).uniform(-40.0, 40.0, (64, 3))
+        with np.errstate(over="raise", invalid="raise", divide="raise"):
+            for m in (40, -40):
+                for p in (0, 8):
+                    for rho0 in (1e6, 1e12):
+                        pulse = make_pulse(m, rho0=rho0, p=p)
+                        a_x, div = pulse.spatial_amplitude(pts)
+                        assert not np.any(a_x) and not np.any(div)
+                ring = np.array([beam.rho_max(m, WAIST), 0.0, 0.0])
+                peak = abs(vector_potential(make_pulse(m, a0=1.0), ring))
+                assert abs(peak - 1.0) < 1e-10
+
 
 class TestEnvelopeFwhm:
     def test_reference_value(self):
@@ -153,17 +184,32 @@ class TestDivergence:
         p = make_pulse(0)
         assert abs(divergence(p, np.array([0.0, 0.0, 0.0]))) < 1e-18
 
-    def test_matches_finite_difference(self):
-        p = make_pulse(3, rho0=200.0)
+    @pytest.mark.parametrize("rho0", [0.0, 200.0])
+    @pytest.mark.parametrize("p", [0, 2])
+    @pytest.mark.parametrize("m", [-3, -1, 0, 1, 2, 12])
+    def test_matches_finite_difference(self, m, p, rho0):
+        # random points near the cage, plus points on the optical axis and
+        # 1e-9 bohr off it
+        pulse = make_pulse(m, rho0=rho0, p=p)
         rng = np.random.default_rng(31)
+        axis = np.array([[rho0, 0.0, 0.0], [rho0, 0.0, 3.0],
+                         [rho0 + 1e-9, 0.0, 0.0], [rho0, -1e-9, 1.0]])
+        pts = np.vstack([rng.uniform(-40.0, 40.0, (50, 3)), axis])
         h = 1e-3
-        for _ in range(50):
-            pt = rng.uniform(-40.0, 40.0, 3)
-            an = divergence(p, pt)
-            up = vector_potential(p, pt + np.array([h, 0, 0]))
-            dn = vector_potential(p, pt - np.array([h, 0, 0]))
-            fd = (up - dn) / (2 * h)
-            assert abs(an - fd) < 1e-7 * max(abs(an), 1e-12)
+        a_x, an = pulse.spatial_amplitude(pts)
+
+        def diff(k):
+            shift = np.array([k * h, 0.0, 0.0])
+            return (pulse.spatial_amplitude(pts + shift)[0]
+                    - pulse.spatial_amplitude(pts - shift)[0])
+
+        # fourth-order central difference: on the axis the second-order one
+        # keeps an h^2 (sqrt2/w0)^3 term at |m| = 3, where dA_x/dx is 0
+        fd = (8.0 * diff(0.5) - diff(1.0)) / (6.0 * h)
+        # where dA_x/dx vanishes, the quotient's own roundoff (a few
+        # eps max|A_x| / h) sets the floor
+        floor = 1e-7 * np.abs(a_x).max() / h
+        assert np.all(np.abs(an - fd) < 1e-7 * np.maximum(np.abs(an), floor))
 
     def test_far_field(self):
         p = make_pulse(2, a0=1.0)

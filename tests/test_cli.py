@@ -24,6 +24,15 @@ class TestConfig:
         assert run.basis.bands[1].l_max == 5
         assert run.waist == pytest.approx(944.863, abs=1e-2)
 
+    def test_defaults_match_module_constants(self):
+        # the numeric defaults come from the modules that use them; the hash
+        # is the one every benchmark reference records
+        cfg = config.load_config()
+        basis, ref = config.RunConfig.resolve(cfg).basis, structure.build_basis()
+        assert basis.bands == ref.bands
+        assert basis.cage_radius == ref.cage_radius
+        assert config.config_hash(cfg) == "c469bc94b0fa"
+
     def test_file_merge(self, tmp_path):
         path = tmp_path / "run.yaml"
         path.write_text(yaml.safe_dump(

@@ -23,8 +23,8 @@ class UniformField:
 
 def apply_operator(field, orbitals, basis, points):
     """-(i/2)(dA_x/dx) psi - i A_x dpsi/dx of each orbital, assembled
-    pointwise at a grid's or an (n, 3) array's points: (n_orb, n_pts)."""
-    a_x, div = field.spatial_amplitude(np.asarray(points, dtype=float))
+    pointwise at (n, 3) points: (n_orb, n_pts)."""
+    a_x, div = field.spatial_amplitude(points)
     psi, grad = structure.orbital_tables(basis, orbitals, points)
     return -0.5j * div * psi - 1j * a_x * grad[:, :, 0]
 
@@ -86,48 +86,49 @@ class TestApplyInteraction:
                 assert mags[k] < 1e-12 * mags.max()
 
 
+def raw_matrix(basis, grid, pulse):
+    """Unpruned M with its targets (rows) and sources (columns)."""
+    sources, targets = coupling.transition_orbitals(basis)
+    mat = coupling.interaction_matrix(pulse, basis, targets, sources, grid)
+    return mat, targets, sources
+
+
 class TestMatrixElement:
     def test_gaussian_beam_dipole_selection(self, basis, grid):
-        pulse = make_pulse(0)
-        ts = coupling.build_transition_set(basis, grid, pulse, prune=False)
-        mmax = ts.max_abs()
-        for jr, j in enumerate(ts.unoccupied):
-            for kc, k in enumerate(ts.occupied):
-                dm = basis.orbitals[j].lam - basis.orbitals[k].lam
-                if dm not in (-1, 1):
-                    assert abs(ts.matrix[jr, kc]) < 1e-12 * mmax
+        mat, targets, sources = raw_matrix(basis, grid, make_pulse(0))
+        mmax = np.abs(mat).max()
+        for jr, oj in enumerate(targets):
+            for kc, ok in enumerate(sources):
+                if oj.lam - ok.lam not in (-1, 1):
+                    assert abs(mat[jr, kc]) < 1e-12 * mmax
 
     def test_vortex_m2_selection(self, basis, grid):
-        pulse = make_pulse(2)
-        ts = coupling.build_transition_set(basis, grid, pulse, prune=False)
-        mmax = ts.max_abs()
-        for jr, j in enumerate(ts.unoccupied):
-            for kc, k in enumerate(ts.occupied):
-                dm = basis.orbitals[j].lam - basis.orbitals[k].lam
-                if dm not in (1, 3):
-                    assert abs(ts.matrix[jr, kc]) < 1e-12 * mmax
+        mat, targets, sources = raw_matrix(basis, grid, make_pulse(2))
+        mmax = np.abs(mat).max()
+        for jr, oj in enumerate(targets):
+            for kc, ok in enumerate(sources):
+                if oj.lam - ok.lam not in (1, 3):
+                    assert abs(mat[jr, kc]) < 1e-12 * mmax
 
     def test_parity_selection(self, basis, grid):
         for m_oam in (1, 2):
-            pulse = make_pulse(m_oam)
-            ts = coupling.build_transition_set(basis, grid, pulse, prune=False)
-            mmax = ts.max_abs()
-            for jr, j in enumerate(ts.unoccupied):
-                for kc, k in enumerate(ts.occupied):
-                    oj, ok = basis.orbitals[j], basis.orbitals[k]
+            mat, targets, sources = raw_matrix(basis, grid, make_pulse(m_oam))
+            mmax = np.abs(mat).max()
+            for jr, oj in enumerate(targets):
+                for kc, ok in enumerate(sources):
                     if (ok.l + oj.l + abs(m_oam) + 1) % 2 == 1:
-                        assert abs(ts.matrix[jr, kc]) < 1e-10 * mmax
+                        assert abs(mat[jr, kc]) < 1e-10 * mmax
 
     def test_offset_beam_dipole_dominance(self, basis, grid):
         # at rho0 = rho_max the molecule sees a locally plane wave, so
         # |delta l| = 1 entries dominate all others by >= 10x
         pulse = make_pulse(1, rho0=beam.rho_max(1, make_pulse(1).waist))
-        ts = coupling.build_transition_set(basis, grid, pulse, prune=False)
+        mat, targets, sources = raw_matrix(basis, grid, pulse)
         dip, rest = 0.0, 0.0
-        for jr, j in enumerate(ts.unoccupied):
-            for kc, k in enumerate(ts.occupied):
-                v = abs(ts.matrix[jr, kc])
-                if abs(basis.orbitals[j].l - basis.orbitals[k].l) == 1:
+        for jr, oj in enumerate(targets):
+            for kc, ok in enumerate(sources):
+                v = abs(mat[jr, kc])
+                if abs(oj.l - ok.l) == 1:
                     dip = max(dip, v)
                 else:
                     rest = max(rest, v)
@@ -146,15 +147,12 @@ class TestTransitionSet:
         assert not np.any(ts.matrix)
 
     def test_linearity_in_a0(self, basis, grid):
-        t1 = coupling.build_transition_set(basis, grid,
-                                           make_pulse(2, a0=0.03), prune=False)
-        t2 = coupling.build_transition_set(basis, grid,
-                                           make_pulse(2, a0=0.06), prune=False)
-        assert np.abs(t2.matrix - 2.0 * t1.matrix).max() == 0.0
+        m1 = raw_matrix(basis, grid, make_pulse(2, a0=0.03))[0]
+        m2 = raw_matrix(basis, grid, make_pulse(2, a0=0.06))[0]
+        assert np.abs(m2 - 2.0 * m1).max() == 0.0
 
     def test_pruning_bookkeeping(self, basis, grid):
-        ts = coupling.build_transition_set(basis, grid, make_pulse(1),
-                                           prune=True)
+        ts = coupling.build_transition_set(basis, grid, make_pulse(1))
         scale = ts.max_abs()
         for jr, kc in ts.pruned:
             assert ts.matrix[jr, kc] == 0.0
@@ -251,13 +249,12 @@ class TestTransitionTables:
         # above the selection-rule ceiling (m = 8), so those sets are
         # roundoff and are held to the m = +1 scale
         sources, targets = coupling.transition_orbitals(basis)
-        bra = structure.orbital_tables(basis, targets, grid)[0].conj()
+        bra = structure.orbital_tables(basis, targets, grid.points)[0].conj()
 
         def deviation(pulse):
-            got = coupling.build_transition_set(basis, grid, pulse,
-                                                prune=False).matrix
+            got = raw_matrix(basis, grid, pulse)[0]
             ref = np.einsum("jn,n,kn->jk", bra, grid.weights,
-                            apply_operator(pulse, sources, basis, grid))
+                            apply_operator(pulse, sources, basis, grid.points))
             return np.abs(got - ref).max(), np.abs(ref).max()
 
         live = [make_pulse(m) for m in range(9)]
@@ -296,7 +293,7 @@ class TestBandPairBlocks:
         grid = numerics.build_grid(0.0, 26.8, 40, 16)
         orbs = basis.band_orbitals(2) + basis.band_orbitals(3)
         got = coupling.interaction_matrix(field, basis, orbs, orbs, grid)
-        bra = structure.orbital_tables(basis, orbs, grid)[0].conj()
+        bra = structure.orbital_tables(basis, orbs, grid.points)[0].conj()
         ref = np.einsum("jn,n,kn->jk", bra, grid.weights,
-                        apply_operator(field, orbs, basis, grid))
+                        apply_operator(field, orbs, basis, grid.points))
         assert np.abs(got - ref).max() <= 1e-13 * np.abs(ref).max()

@@ -118,9 +118,10 @@ class TestDcCurrent:
 
 def reference_current(exc, basis, points, eta=structure.DEFAULT_ETA,
                       charge_convention="electron", tables=None):
-    """The current tabulated orbital by orbital: psi and grad psi of every
-    target from ``structure.orbital_tables`` (or ``tables``), then
-    2 Im sum_ll' C_ll' conj(psi_l) grad psi_l' per coherence block."""
+    """The current tabulated orbital by orbital at (n, 3) points: psi and
+    grad psi of every target from ``structure.orbital_tables`` (or
+    ``tables``), then 2 Im sum_ll' C_ll' conj(psi_l) grad psi_l' per
+    coherence block."""
     targets = [basis.orbitals[i] for i in exc.transitions.unoccupied]
     psi, grad = tables or structure.orbital_tables(basis, targets, points)
     row_of = {o.index: r for r, o in enumerate(targets)}
@@ -173,7 +174,7 @@ class TestCurrentFactorisation:
                                            charge_convention=charge_convention)
         assert np.array_equal(field.points, grid.points)
         assert_matches_reference(field.j, reference_current(
-            exc_m1, basis, grid, charge_convention=charge_convention))
+            exc_m1, basis, grid.points, charge_convention=charge_convention))
 
     @settings(max_examples=20, deadline=None)
     @given(seed=st.integers(0, 2**32 - 1), exponent=st.integers(-8, 2),
@@ -192,7 +193,7 @@ class TestCurrentFactorisation:
                                   amplitudes=amps)
         j = observables.current_samples(exc, symmetry_basis, grid)
         assert_matches_reference(j, reference_current(
-            exc, symmetry_basis, grid, tables=symmetry_tables))
+            exc, symmetry_basis, grid.points, tables=symmetry_tables))
 
     def test_plane_memory(self, basis, exc_m1):
         # no orbital or gradient table over the 65,536 lattice points
@@ -549,7 +550,7 @@ def compare_kernel_to_sampled(kernel, exc, basis, grid,
 @pytest.fixture(scope="module")
 def symmetry_tables(symmetry_basis, grid):
     _, targets = coupling.transition_orbitals(symmetry_basis)
-    return structure.orbital_tables(symmetry_basis, targets, grid)
+    return structure.orbital_tables(symmetry_basis, targets, grid.points)
 
 
 @pytest.fixture(scope="module")

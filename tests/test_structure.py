@@ -335,7 +335,7 @@ class TestEvaluationLayouts:
 
 
 def tabulated_gram(basis, grid):
-    psi, _ = structure.orbital_tables(basis, basis.orbitals, grid)
+    psi, _ = structure.orbital_tables(basis, basis.orbitals, grid.points)
     return (psi.conj() * grid.weights) @ psi.T
 
 
