@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -118,8 +119,9 @@ class VortexPulse:
         if abs(self.m_oam) > 40 or not (0 <= self.p <= 8):
             raise ValueError(f"unsupported mode indices m={self.m_oam}, p={self.p}")
 
-    @property
+    @cached_property
     def amplitude_norm(self) -> float:
+        # cached: for p > 0 ``normalization`` scans 20,001 points
         return normalization(self.a0, self.m_oam, self.p,
                              self.legacy_normalization)
 

@@ -17,9 +17,9 @@ mu0/(4 pi) = alpha^2 in atomic units; a right-handed (+phi) loop therefore
 gives B_z > 0, pinning the sign convention against the analytic ring.
 
 All of these are linear in the coherences C^g, which alone depend on the
-pulse.  Scans therefore integrate each pair current once per grid
+pulse.  Scans therefore take each pair current's integrals once per grid
 (``scan_kernel``) and contract the coherences of each scan point against
-those integrals; the sampled path serves plane lattices and checks.
+them; the sampled path serves plane lattices and checks.
 
 Both paths take one identity and tabulate no orbital.  With psi_l = R_b Y_l
 and the tangential gradient T_l = r grad Y_l,
@@ -37,6 +37,15 @@ sum_m K_lm Y_lm with the block's coefficient rows K_g, the current is
 one (2l+1)^2 Hermitian quadratic form in the harmonics per (band, l); the
 cross terms of symmetry-table blocks enter through D.  At r = 0 the current
 is zero (psi vanishes there for l >= 1, and the l = 0 term is real).
+
+The moment and center field of one (band b, l) term are traces, as
+r-hat x T_lm' = i L Y_lm' (L from ``structure.angular_momentum(l)``):
+m = s mu_b Re Tr(D^T L) and B(0) = 2 (mu0/4 pi) kappa_b s Re Tr(D^T L),
+with s the charge sign, mu_b = int R_b^2 r^2 dr and kappa_b = int_{r >=
+r_cut} R_b^2 / r dr.  ``scan_kernel`` takes both so, with mu_b and kappa_b
+summed on the grid's radial rule; ``magnetic_moment`` and ``b_field_center``
+integrate sampled fields (``check``'s ring oracle and Python callers).
+R_3(0) != 0, so kappa_3, and with it B_z, grows like -ln r_cut.
 """
 
 from __future__ import annotations
@@ -92,7 +101,6 @@ class CurrentField:
 class MagneticsResult:
     moment_au: np.ndarray              # (1/2) int r x j, a.u.
     b_center_au: np.ndarray
-    effective_radius: float | None     # ring radius matching m/B; None if B_z = 0
 
     @property
     def moment_mu_b(self) -> np.ndarray:
@@ -202,7 +210,7 @@ def sample_current(excitation, basis, grid, eta: float = DEFAULT_ETA,
 
 @dataclass(frozen=True, eq=False)
 class ScanKernel:
-    """Grid integrals of every coherence-pair current of a target set.
+    """Integrals of every coherence-pair current of a target set.
 
     With Z = (R_b^2 / r) conj(Y_l) T_l' for rows l, l' of one block, the
     current is j = sum_q u_q F_q over rows q that pair u = 2 Re C_ll' with
@@ -210,7 +218,8 @@ class ScanKernel:
     first, as C_ll is real; the r-hat part of conj(psi_l) grad psi_l'
     cancels, as in ``current_samples``).  Moment, center field and the
     cylindrical components are linear in j, so each is taken per row once
-    and a scan point only contracts its coherences against them.
+    (the first two as traces against L, the components on the grid) and a
+    scan point only contracts its coherences against them.
     """
 
     targets: tuple[int, ...]      # basis indices, in transition-set row order
@@ -231,7 +240,7 @@ class ScanKernel:
         amps = excitation.amplitudes
         coh = np.sum(amps[self.left].conj() * amps[self.right], axis=1)
         u = 2.0 * np.where(self.imag_coherence, coh.imag, coh.real)
-        mag = _magnetics_result(u @ self.moment, u @ self.b_center)
+        mag = MagneticsResult(u @ self.moment, u @ self.b_center)
         # the norms square the contracted component fields: a quadratic form
         # in u would cancel under the square root
         norms = tuple(float(np.sqrt(np.sum(self.weights * (u @ comp) ** 2)))
@@ -244,10 +253,12 @@ def scan_kernel(basis, grid, eta: float = DEFAULT_ETA,
                 r_cut: float = DEFAULT_R_CUT) -> ScanKernel:
     """``ScanKernel`` of the ``coupling.transition_orbitals`` targets.
 
-    Row q's field is ``_current_block`` with D = (1/2) conj(c_l) c_l'^T
-    (times i for F = Re Z; c the targets' coefficient rows) on the grid's
-    radial and angular nodes.  Every scan point that excites these targets
-    on this grid then reuses the integrals.
+    Row q has D = (1/2) conj(c_l) c_l'^T (times i for F = Re Z; c the
+    targets' coefficient rows).  Its moment and center field are the traces
+    of the module docstring; its field, for the cylindrical components
+    only, is ``_current_block`` on the grid's radial and angular nodes.
+    Every scan point that excites these targets on this grid then reuses
+    the integrals.
     """
     _, targets = coupling.transition_orbitals(basis)
     sign = _charge_sign(charge_convention)
@@ -256,18 +267,25 @@ def scan_kernel(basis, grid, eta: float = DEFAULT_ETA,
             for imag_c in ((False,) if l == lp else (False, True))]
     r, dirs = grid.radial_nodes[:, None], grid.angular_nodes
     pts, w = grid.points, grid.weights
+    # per band: mu_b = int R_b^2 r^2 dr and kappa_b = int_{r >= r_cut} R_b^2/r dr
+    nodes = grid.radial_nodes
+    rad2 = basis.shells.values(nodes) ** 2 * grid.radial_weights
+    keep = nodes >= r_cut
+    mu, kappa = rad2.sum(axis=1), rad2[:, keep] @ nodes[keep] ** -3.0
     moment = np.empty((len(rows), 3))
     b_center = np.empty((len(rows), 3))
     components = np.empty((3, len(rows), len(w)))
     for q, (l, lp, imag_c) in enumerate(rows):
         orb = targets[l]
         d = 0.5 * np.outer(orb.coeffs.conj(), targets[lp].coeffs)
-        j = _current_block(basis, {(orb.band_pos, orb.l): 1j * d if imag_c
-                                   else d}, r, dirs)
-        field = CurrentField(points=pts, j=sign * j, weights=w)
-        moment[q] = magnetic_moment(field)
-        b_center[q] = b_field_center(field, r_cut=r_cut, warn=False)
-        components[:, q] = _cylindrical_components(field)
+        d = 1j * d if imag_c else d
+        trace = sign * np.einsum("mn,kmn->k", d,
+                                 structure.angular_momentum(orb.l)).real
+        moment[q] = mu[orb.band_pos] * trace
+        b_center[q] = 2.0 * MU0_OVER_4PI_AU * kappa[orb.band_pos] * trace
+        j = _current_block(basis, {(orb.band_pos, orb.l): d}, r, dirs)
+        components[:, q] = _cylindrical_components(
+            CurrentField(points=pts, j=sign * j, weights=w))
     left, right, imag_c = np.array(rows, dtype=int).reshape(-1, 3).T
     return ScanKernel(targets=tuple(o.index for o in targets), left=left,
                       right=right, imag_coherence=imag_c.astype(bool),
@@ -388,19 +406,9 @@ def b_field_center(field: CurrentField, r_cut: float = DEFAULT_R_CUT,
 
 def magnetics(field: CurrentField, r_cut: float = DEFAULT_R_CUT,
               warn: bool = True) -> MagneticsResult:
-    """Moment and center field together, with the loop-radius diagnostic."""
-    return _magnetics_result(magnetic_moment(field),
-                             b_field_center(field, r_cut=r_cut, warn=warn))
-
-
-def _magnetics_result(moment, b_au) -> MagneticsResult:
-    """Attach the ring radius whose moment/field ratio matches m_z / B_z."""
-    r_eff = None
-    if b_au[2] != 0.0:
-        val = 2.0 * MU0_OVER_4PI_AU * float(moment[2]) / float(b_au[2])
-        r_eff = math.copysign(abs(val) ** (1.0 / 3.0), val)
-    return MagneticsResult(moment_au=moment, b_center_au=b_au,
-                           effective_radius=r_eff)
+    """Moment and center field of a sampled field together."""
+    return MagneticsResult(magnetic_moment(field),
+                           b_field_center(field, r_cut=r_cut, warn=warn))
 
 
 # ---------------------------------------------------------------------------

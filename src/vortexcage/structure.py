@@ -19,6 +19,8 @@ radial profile times an angular part, so the Gram <psi_i|psi_j> =
 G_rad[b_i, b_j] * G_ang[i, j] is a band Gram over the radial rule times the
 Gram of the angular parts over the angular rule (``product_grid_gram``), and
 ``coupling.interaction_matrix`` and the ``observables`` currents factor alike.
+``angular_momentum`` gives the matrices of L in the same Y_lm basis, from
+which ``observables.scan_kernel`` takes moments and centre fields.
 """
 
 from __future__ import annotations
@@ -36,6 +38,7 @@ __all__ = [
     "Basis",
     "Orbital",
     "SymmetryTable",
+    "angular_momentum",
     "angular_tables",
     "build_basis",
     "default_bands",
@@ -330,6 +333,16 @@ def harmonic_frame(lmax: int, dirs):
     that = np.stack([ct * np.cos(phi), ct * np.sin(phi), -st], axis=1)
     phat = np.stack([-np.sin(phi), np.cos(phi), np.zeros_like(phi)], axis=1)
     return y, dth, dph, that, phat
+
+
+def angular_momentum(l: int) -> np.ndarray:
+    """(L_x, L_y, L_z), shape (3, 2l+1, 2l+1): the matrices <Y_lm|L|Y_lm'>
+    with m = -l..l (entry m+l) and the Condon-Shortley phase of the tables
+    above, so L_+ Y_lm = sqrt(l(l+1) - m(m+1)) Y_l,m+1 (the sub-diagonal)."""
+    m = np.arange(-l, l + 1)
+    raise_ = np.diag(np.sqrt(l * (l + 1) - m[:-1] * (m[:-1] + 1.0)), -1)
+    return np.array([0.5 * (raise_ + raise_.T),
+                     -0.5j * (raise_ - raise_.T), np.diag(m)], dtype=complex)
 
 
 # r -> 0 limits of (psi / R, grad / R') per (l, m) row for l <= 1.  Only

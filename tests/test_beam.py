@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -86,6 +87,30 @@ class TestNormalization:
         rho = np.linspace(0.0, 10.0 * WAIST, 400001)
         peak = float(np.abs(beam.mode_profile(p, rho)).max())
         assert abs(peak - 1.0) < 1e-8
+
+    def test_normalization_cached_per_pulse(self, monkeypatch):
+        calls = []
+        real = beam.normalization
+
+        def spy(*args):
+            calls.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(beam, "normalization", spy)
+        p = beam.VortexPulse(a0=1.0, m_oam=3, p=2, omega=0.3, delta=DELTA,
+                             waist=WAIST)
+        pts = np.array([[10.0, 20.0, 0.0], [300.0, -40.0, 5.0]])
+        first = p.spatial_amplitude(pts)
+        for _ in range(3):
+            again = p.spatial_amplitude(pts)
+            beam.mode_profile(p, np.array([0.0, 100.0]))
+        assert len(calls) == 1
+        assert all(np.array_equal(a, b) for a, b in zip(first, again))
+        doubled = dataclasses.replace(p, a0=2.0)
+        doubled.spatial_amplitude(pts)
+        assert calls == [(1.0, 3, 2, False), (2.0, 3, 2, False)]
+        assert doubled.amplitude_norm == pytest.approx(2.0 * p.amplitude_norm,
+                                                       rel=1e-14)
 
 
 def vector_potential(pulse, point):

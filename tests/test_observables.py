@@ -9,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 from vortexcage import (beam, config, coupling, dynamics, numerics,
                         observables, structure)
 from vortexcage.units import ev_to_hartree
-from vortexcage.units import MU0_OVER_4PI_AU
+from vortexcage.units import AU_BFIELD_T, MU0_OVER_4PI_AU
 
 from conftest import make_pulse
 
@@ -352,7 +352,6 @@ class TestRingOracle:
         mu0 = 4 * math.pi * MU0_OVER_4PI_AU
         assert mag.b_center_au[2] == pytest.approx(
             mu0 * current / (2 * radius), rel=1e-3)
-        assert mag.effective_radius == pytest.approx(radius, rel=1e-3)
 
     def test_linearity(self):
         ring = observables.ring_current_field(0.2, 5.0)
@@ -392,10 +391,6 @@ class TestMagnetics:
         assert abs(mag.moment_au[1]) < 1e-8 * abs(mag.moment_au[2])
         assert abs(mag.b_center_au[0]) < 1e-8 * abs(mag.b_center_au[2])
         assert abs(mag.b_center_au[1]) < 1e-8 * abs(mag.b_center_au[2])
-
-    def test_effective_radius_near_cage(self, field_m1):
-        mag = observables.magnetics(field_m1, warn=False)
-        assert 4.0 < mag.effective_radius < 10.0
 
 
 class TestPlanes:
@@ -576,8 +571,6 @@ class TestScanKernel:
             assert mag.b_center_au[2] == pytest.approx(ref.b_center_au[2],
                                                        rel=1e-12, abs=0.0)
             assert norms[1] == pytest.approx(ref_norms[1], rel=1e-12, abs=0.0)
-            assert mag.effective_radius == pytest.approx(
-                ref.effective_radius, rel=1e-12)
 
     def test_offset_beam_matches_sampled(self, basis, grid):
         rho0 = 1.0 * beam.rho_max(1, make_pulse(1).waist)
@@ -623,6 +616,29 @@ class TestScanKernel:
         finally:
             tracemalloc.stop()
         assert peak < 40e6
+
+    @pytest.mark.parametrize("which", ["basis", "symmetry_basis"])
+    def test_magnetics_from_traces(self, request, which, monkeypatch):
+        # moment and center field come from Tr(D^T L) and two band-3 radial
+        # sums, not from integrals of the sampled row fields
+        def refuse(*args, **kwargs):
+            raise AssertionError("scan_kernel integrated a sampled field")
+
+        monkeypatch.setattr(observables, "magnetic_moment", refuse)
+        monkeypatch.setattr(observables, "b_field_center", refuse)
+        run = config.RunConfig.resolve(config.load_config())
+        grid = run.make_grid()
+        kernel = observables.scan_kernel(request.getfixturevalue(which), grid)
+        # every row's B / m is 2 (mu0/4pi) kappa_3 / mu_3
+        nodes = grid.radial_nodes
+        rad2 = run.basis.shells.values(nodes)[2] ** 2 * grid.radial_weights
+        ratio = 2.0 * MU0_OVER_4PI_AU * np.sum(
+            rad2[nodes >= run.r_cut] / nodes[nodes >= run.r_cut] ** 3) \
+            / np.sum(rad2)
+        assert ratio * AU_BFIELD_T * 1e6 == pytest.approx(91414.86, abs=0.005)
+        assert np.abs(kernel.moment).max() > 0.0
+        assert np.allclose(kernel.b_center, ratio * kernel.moment,
+                           rtol=1e-14, atol=0.0)
 
     def test_refuses_other_targets(self, basis, grid, exc_m1):
         kernel = observables.scan_kernel(basis, grid)

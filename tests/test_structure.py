@@ -412,6 +412,32 @@ class TestSymmetryTable:
             structure.load_symmetry_coefficients(path)
 
 
+class TestAngularMomentum:
+    @pytest.mark.parametrize("l", range(10))
+    def test_algebra(self, l):
+        lx, ly, lz = structure.angular_momentum(l)
+        for op in (lx, ly, lz):
+            assert np.array_equal(op, op.conj().T)
+        assert np.abs(lx @ ly - ly @ lx - 1j * lz).max() <= 1e-14 * l * l
+        assert np.abs(lx @ lx + ly @ ly + lz @ lz
+                      - l * (l + 1) * np.eye(2 * l + 1)).max() \
+            <= 1e-14 * l * l
+
+    def test_matches_harmonic_tables(self):
+        # L Y = -i r-hat x (r grad Y): the matrices are the sphere integrals
+        # of conj(Y_lm) -i r-hat x T_lm' over the tables' own harmonics, so
+        # the phase convention of L_+ agrees with theirs
+        lmax = 9
+        dirs, w = numerics.angular_rule(2 * lmax + 2)
+        y, dth, dph, that, phat = structure.harmonic_frame(lmax, dirs)
+        tang = dth[..., None] * that + dph[..., None] * phat
+        l_y = -1j * np.cross(dirs, tang)
+        for l in range(lmax + 1):
+            rows = slice(l * l, (l + 1) ** 2)
+            ref = np.einsum("mn,n,knc->cmk", y[rows].conj(), w, l_y[rows])
+            assert np.abs(structure.angular_momentum(l) - ref).max() < 1e-12
+
+
 class TestDegenerateGroups:
     def test_grouping(self, basis):
         unocc = basis.band_orbitals(3)
