@@ -23,7 +23,7 @@ from .coupling import transition_orbitals
 from .dynamics import VALIDITY_THRESHOLD
 from .numerics import build_grid, check_grid_args
 from .observables import DEFAULT_R_CUT, MIN_PLANE_RESOLUTION
-from .units import ev_to_hartree, field_amplitude_au, nm_to_bohr
+from .units import ev_to_hartree, field_amplitude_au, fs_to_au, nm_to_bohr
 
 __all__ = ["ConfigError", "RunConfig", "config_hash", "load_config"]
 
@@ -227,6 +227,17 @@ def _validate(cfg: dict) -> None:
         raise ConfigError(f"numerics.charge_convention: unknown value {conv!r}")
 
 
+def _square_in_range(key: str, value: float) -> None:
+    """Refuse a value (in atomic units) whose square the model divides by,
+    as in the l-dispersion l(l+1)/(2 R^2) and the envelope 4 ln 2/FWHM^2,
+    when that square or its reciprocal leaves the float range."""
+    square = value * value
+    if not (0.0 < square < math.inf and 1.0 / square < math.inf):
+        raise ValueError(f"{key} is out of range: its square in atomic "
+                         f"units ({square:.3g}) must be a positive float "
+                         f"with a finite reciprocal")
+
+
 def config_hash(cfg: dict) -> str:
     """Stable short hash of the resolved configuration."""
     blob = json.dumps(cfg, sort_keys=True, separators=(",", ":"), default=str)
@@ -262,8 +273,19 @@ class RunConfig:
         below ``MIN_PLANE_RESOLUTION``, a basis with no transitions, a grid
         that cuts off more than 1e-8 of a band's squared norm, and a
         Biot-Savart cutoff that excludes the whole grid raise ConfigError
-        here, before any command starts."""
+        here, before any command starts, as do a symmetry table that is not
+        a path string and a cage radius or pulse FWHM whose square leaves
+        the float range."""
         try:
+            table = cfg["model"]["symmetry_table"]
+            if table is not None and not isinstance(table, str):
+                raise ValueError(f"model.symmetry_table must be a path string "
+                                 f"or null, got {table!r}")
+            _square_in_range("model.cage_radius_bohr",
+                             cfg["model"]["cage_radius_bohr"])
+            if cfg["pulse"]["fwhm_fs"] is not None:
+                _square_in_range("pulse.fwhm_fs",
+                                 fs_to_au(cfg["pulse"]["fwhm_fs"]))
             run = cls._convert(cfg)
             transition_orbitals(run.basis)
             for m in [run.m_oam, *cfg["scan"]["charges"]]:
@@ -305,7 +327,7 @@ class RunConfig:
             )
             for i in range(3))
         table = None
-        if model["symmetry_table"]:
+        if model["symmetry_table"] is not None:
             table = structure.load_symmetry_coefficients(model["symmetry_table"])
         basis = structure.build_basis(bands, model["cage_radius_bohr"],
                                       symmetry_table=table)

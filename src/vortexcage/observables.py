@@ -82,6 +82,7 @@ __all__ = [
 
 DEFAULT_R_CUT = 0.5   # bohr, Biot-Savart origin exclusion
 MIN_PLANE_RESOLUTION = 32
+PLANE_WRITE_BLOCK = 4096   # lattice lines per formatted block
 
 
 class CutoffLeakWarning(UserWarning):
@@ -189,7 +190,7 @@ def current_samples(excitation, basis, points, eta: float = DEFAULT_ETA,
         n_pts = step = len(points.weights)
     else:
         pts = np.atleast_2d(np.asarray(points, dtype=float))
-        r = np.linalg.norm(pts, axis=1)
+        r = structure.point_radii(pts)
         dirs = pts / np.where(r > 0.0, r, 1.0)[:, None]
         n_pts, step = len(r), structure.POINT_BLOCK
     # each block's result is kept until the join rather than copied out and
@@ -328,24 +329,29 @@ def write_plane(path, plane: str, extent: float, points, j):
     """Write a lattice as text, one ``x y z jx jy jz`` line per point in
     ``%.17g``.
 
-    A lattice repeats few coordinate values, so each distinct float64 bit
-    pattern is formatted once (bits, not values, so -0.0 stays "-0"); the
-    lines are then one ``%`` operation over the whole block.
+    The lines go out in blocks of ``PLANE_WRITE_BLOCK``, so no text, tuple
+    or boxed value of the whole lattice is ever held.  A block repeats few
+    coordinate values, so each distinct float64 bit pattern in it is
+    formatted once (bits, not values, so -0.0 stays "-0"); the block's lines
+    are then one ``%`` operation and one ``write``.
     """
     pts = np.ascontiguousarray(points, dtype=float).reshape(-1, 3)
-    bits, where = np.unique(pts.view(np.uint64), return_inverse=True)
-    coord = np.array(["%.17g" % x for x in bits.view(float).tolist()],
-                     dtype=object)
-    cols = np.empty((len(pts), 6), dtype=object)
-    cols[:, :3] = coord[where.reshape(-1, 3)]
-    cols[:, 3:] = j.reshape(-1, 3)
+    vals = j.reshape(-1, 3)
     n = int(round(math.sqrt(len(pts))))
-    text = (f"# plane={plane} extent={extent:.17g} resolution={n}\n"
-            "# x y z jx jy jz\n"
-            + ("%s %s %s %.17g %.17g %.17g\n" * len(pts))
-            % tuple(cols.ravel().tolist()))
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(text)
+        fh.write(f"# plane={plane} extent={extent:.17g} resolution={n}\n"
+                 "# x y z jx jy jz\n")
+        for i in range(0, len(pts), PLANE_WRITE_BLOCK):
+            blk = slice(i, i + PLANE_WRITE_BLOCK)
+            bits, where = np.unique(pts[blk].view(np.uint64),
+                                    return_inverse=True)
+            coord = np.array(["%.17g" % x for x in bits.view(float).tolist()],
+                             dtype=object)
+            cols = np.empty((len(vals[blk]), 6), dtype=object)
+            cols[:, :3] = coord[where.reshape(-1, 3)]
+            cols[:, 3:] = vals[blk]
+            fh.write(("%s %s %s %.17g %.17g %.17g\n" * len(cols))
+                     % tuple(cols.ravel().tolist()))
 
 
 # ---------------------------------------------------------------------------

@@ -10,11 +10,14 @@ erfc and exp of the Gaussians' centres and widths (no radial rule).
 
 Evaluation builds one table of Y_lm and its two angular derivatives over
 all (l, m) up to the largest l requested, with the theta-hat and phi-hat
-frame (``harmonic_frame``), and contracts each orbital's (2l+1)-entry
-coefficient block against it (``angular_tables``), so one-hot and
-symmetry-table orbitals share one path.  ``orbital_tables`` evaluates
-values and gradients at points (``check``'s gradient stencil, the tests'
-reference).  On a product grid nothing tabulates an orbital: each is a
+frame (``harmonic_frame``).  No angle is formed: cos phi and sin phi are
+x and y over sin theta, e^{im phi} is a power of e^{i phi}, only the m >= 0
+rows are computed, and Y_l,-m = (-1)^m conj(Y_lm) fills the rest.  On the
+z axis the tables and the frame take phi = 0.  Each orbital's (2l+1)-entry
+coefficient block contracts against the table (``angular_tables``), so
+one-hot and symmetry-table orbitals share one path.  ``orbital_tables``
+evaluates values and gradients at points (``check``'s gradient stencil, the
+tests' reference).  On a product grid nothing tabulates an orbital: each is a
 radial profile times an angular part, so the Gram <psi_i|psi_j> =
 G_rad[b_i, b_j] * G_ang[i, j] is a band Gram over the radial rule times the
 Gram of the angular parts over the angular rule (``product_grid_gram``), and
@@ -47,6 +50,7 @@ __all__ = [
     "load_symmetry_coefficients",
     "orbital_tables",
     "parabolic_energy",
+    "point_radii",
     "product_grid_gram",
 ]
 
@@ -293,28 +297,45 @@ def degenerate_groups(orbitals, eta: float = DEFAULT_ETA):
 # evaluation
 # ---------------------------------------------------------------------------
 
-def _harmonic_tables(lmax: int, ct, st, phi):
+def _harmonic_tables(lmax: int, ct, st, eiphi):
     """Y_lm, d/dtheta Y_lm and (1/sin theta) d/dphi Y_lm for all l <= lmax.
 
     Rows follow k = l^2 + l + m, so the coefficient block of an orbital with
-    angular momentum l contracts against rows l^2 .. (l+1)^2 - 1.  Splitting
-    the sin^|m| factor off the Legendre part keeps the phi derivative finite
-    at the poles.
+    angular momentum l contracts against rows l^2 .. (l+1)^2 - 1.  Only the
+    m >= 0 rows are computed: with Ptilde_lm = Q_lm sin^m theta they are
+    e^{im phi} times Q_lm sin^m, m cos theta sin^(m-1) Q_lm - dQ_lm sin^(m+1)
+    and i m Q_lm sin^(m-1), where e^{im phi} is the m-th power of eiphi =
+    e^{i phi}, taken by repeated products.  Each m < 0 row of all three
+    tables is then Y_l,-m = (-1)^m conj(Y_lm).  Splitting the sin^m factor
+    off the Legendre part keeps the phi derivative finite at the poles.
     """
     q, dq = numerics.legendre_q_tables(lmax, ct)
-    ls, ms = np.array([(l, m) for l in range(lmax + 1)
-                       for m in range(-l, l + 1)]).T
-    am = np.abs(ms)
-    # sin^k theta for k = 0..lmax; e^{i m phi}; the (-1)^m phase of m < 0
-    spow = st ** np.arange(lmax + 1)[:, None]
-    phase = np.exp(1j * np.outer(np.arange(-lmax, lmax + 1), phi))[ms + lmax]
-    sign = np.where(ms < 0, (-1.0) ** am, 1.0)[:, None]
-    qa, dqa = sign * q[ls, am], sign * dq[ls, am]
-    s_lower = spow[np.maximum(am - 1, 0)]
-    y = phase * (qa * spow[am])
-    dth = phase * (-dqa * spow[am] * st + am[:, None] * ct * s_lower * qa)
-    dph = 1j * phase * (ms[:, None] * qa * s_lower)
-    return y, dth, dph
+    m = np.arange(lmax + 1)[:, None]
+    spow = st ** np.arange(lmax + 2)[:, None]       # sin^k theta, k <= lmax+1
+    # sin^(m-1) theta only meets a factor m, so m = 0 may take sin^0
+    s_lower = np.concatenate([spow[:1], spow[:lmax]])
+    # real factors of the m >= 0 rows of the three tables, [table, l, m]
+    real = np.empty((3,) + q.shape)
+    np.multiply(q, spow[:-1], out=real[0])
+    np.multiply(q, m * s_lower, out=real[2])
+    np.subtract(ct * real[2], dq * spow[1:], out=real[1])
+    del q, dq                   # freed before the complex tables exist
+    # e^{im phi} for m = 0..lmax, times i for the phi derivative
+    phase = np.empty((3, lmax + 1, len(ct)), dtype=complex)
+    phase[0, 0], phase[0, 1:] = 1.0, eiphi
+    np.cumprod(phase[0], axis=0, out=phase[0])
+    phase[1] = phase[0]
+    np.multiply(phase[0], 1j, out=phase[2])
+    tab = np.empty((3, (lmax + 1) ** 2, len(ct)), dtype=complex)
+    for l in range(lmax + 1):
+        k = l * l + l                               # row of m = 0
+        np.multiply(real[:, l, :l + 1], phase[:, :l + 1],
+                    out=tab[:, k:k + l + 1])
+        # rows m = -l..-1 are (-1)^m conj of rows m = l..1
+        neg = tab[:, l * l:k]
+        np.conjugate(tab[:, k + l:k:-1], out=neg)
+        neg[:, (l + 1) % 2::2] *= -1.0
+    return tab[0], tab[1], tab[2]
 
 
 def harmonic_frame(lmax: int, dirs):
@@ -324,15 +345,26 @@ def harmonic_frame(lmax: int, dirs):
     (1/sin theta) d/dphi Y_lm for all l <= lmax in rows k = l^2 + l + m,
     each (n_lm, n), and the unit vectors theta-hat and phi-hat, each (n, 3).
     The tangential gradient r grad Y_lm is dth theta-hat + dph phi-hat.
+    No angle is formed: cos phi and sin phi are x and y over sin theta.  On
+    the z axis (sin theta = 0) the tables and the frame take phi = 0, so
+    theta-hat = (cos theta, 0, 0) and phi-hat = (0, 1, 0) there; the
+    tangential gradient does not depend on that choice.
     """
-    # sin theta from x and y: sqrt(1 - cos^2) rounds to 0 near the axis
+    x, y = dirs[:, 0], dirs[:, 1]
     ct = np.clip(dirs[:, 2], -1.0, 1.0)
-    st, phi = np.hypot(dirs[:, 0], dirs[:, 1]), np.arctan2(
-        dirs[:, 1], dirs[:, 0])
-    y, dth, dph = _harmonic_tables(lmax, ct, st, phi)
-    that = np.stack([ct * np.cos(phi), ct * np.sin(phi), -st], axis=1)
-    phat = np.stack([-np.sin(phi), np.cos(phi), np.zeros_like(phi)], axis=1)
-    return y, dth, dph, that, phat
+    # sin theta from x and y: sqrt(1 - cos^2) rounds to 0 near the axis
+    st = np.hypot(x, y)
+    # scale (x, y) by its larger component first, so subnormal components
+    # keep full precision; on the axis the scale is inf and cos phi is 1
+    big = np.maximum(np.abs(x), np.abs(y))
+    axis = big == 0.0
+    big[axis] = np.inf
+    cx, sy = x / big + axis, y / big
+    norm = np.hypot(cx, sy)
+    cp, sp = cx / norm, sy / norm
+    that = np.stack([ct * cp, ct * sp, -st], axis=1)
+    phat = np.stack([-sp, cp, np.zeros_like(cp)], axis=1)
+    return (*_harmonic_tables(lmax, ct, st, cp + 1j * sp), that, phat)
 
 
 def angular_momentum(l: int) -> np.ndarray:
@@ -356,18 +388,27 @@ _ORIGIN_LIMITS = np.array([[_Y00, 0.0, 0.0, _Y00],
                            [0.0, -_C1, -1j * _C1, 0.0]])    # m = +1
 
 
+def point_radii(pts) -> np.ndarray:
+    """|p| of each row of pts (n, 3), by hypot: the squares of a norm
+    underflow below ~1e-154 bohr.  Radii below the smallest normal float,
+    where 1/r overflows, read 0, so such points take the origin's limit."""
+    r = np.hypot(np.hypot(pts[:, 0], pts[:, 1]), pts[:, 2])
+    r[r < np.finfo(float).tiny] = 0.0
+    return r
+
+
 def orbital_tables(basis: Basis, orbitals, points):
     """Vectorized values and gradients for a set of orbitals at points.
 
     ``points`` is (n, 3) (for a QuadratureGrid, pass ``grid.points``); the
     harmonics are built per block of ``POINT_BLOCK`` points.  Returns
-    (psi, grad) with shapes (n_orb, n) and (n_orb, n, 3).  At r = 0 the
-    (regularized) +z-axis limit is used: psi vanishes for l >= 1, the
-    gradient for l >= 2.
+    (psi, grad) with shapes (n_orb, n) and (n_orb, n, 3).  At r = 0 (as
+    ``point_radii`` reads it) the (regularized) +z-axis limit is used: psi
+    vanishes for l >= 1, the gradient for l >= 2.
     """
     orbitals = list(orbitals)
     pts = np.atleast_2d(np.asarray(points, dtype=float))
-    r = np.linalg.norm(pts, axis=1)
+    r = point_radii(pts)
     safe_r = np.where(r > 0.0, r, 1.0)
     dirs, inv_r = pts / safe_r[:, None], 1.0 / safe_r
     rad, drad = basis.shells.values(r), basis.shells.derivatives(r)

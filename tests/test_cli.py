@@ -387,6 +387,27 @@ class TestExitCodes:
         assert "r_max = 26.8 bohr" in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("override", [
+        "model.symmetry_table=2.5",
+        "model.symmetry_table=0",
+        "model.symmetry_table=[]",
+        "model.cage_radius_bohr=1e300",
+        "model.cage_radius_bohr=1e-300",
+        "pulse.fwhm_fs=1e300",
+        "pulse.fwhm_fs=1e-300",
+    ])
+    def test_refusal_names_the_key(self, tmp_path, capsys, override):
+        # each of these ended in a TypeError, OverflowError or
+        # ZeroDivisionError traceback rather than a configuration error
+        out = tmp_path / "out"
+        assert cli.main(["--out", str(out), "--override", override,
+                         "spectrum"]) == 1
+        err = capsys.readouterr().err
+        key = override.split("=")[0]
+        assert err.startswith(f"configuration error: {key} ")
+        assert err.count("\n") == 1
+        assert not out.exists()
+
     @pytest.mark.parametrize("argv", [
         ["bogus"],
         ["--threads", "abc", "spectrum"],

@@ -393,6 +393,18 @@ class TestMagnetics:
         assert abs(mag.b_center_au[1]) < 1e-8 * abs(mag.b_center_au[2])
 
 
+def _line_writer(path, plane, extent, points, j):
+    """One f-string per lattice point: the layout write_plane keeps."""
+    pts, vals = points.reshape(-1, 3), j.reshape(-1, 3)
+    with open(path, "w", encoding="utf-8") as fh:
+        n = int(round(math.sqrt(len(pts))))
+        fh.write(f"# plane={plane} extent={extent:.17g} resolution={n}\n")
+        fh.write("# x y z jx jy jz\n")
+        for p, v in zip(pts, vals):
+            fh.write(f"{p[0]:.17g} {p[1]:.17g} {p[2]:.17g} "
+                     f"{v[0]:.17g} {v[1]:.17g} {v[2]:.17g}\n")
+
+
 class TestPlanes:
     def test_zero_lattice_for_gaussian(self, basis, grid):
         exc0 = run_excitation(basis, grid, 0)
@@ -460,18 +472,6 @@ class TestPlanes:
         assert len(lines) == 2 + 32 * 32
 
     def test_plane_writer_bytes_match_line_writer(self, tmp_path):
-        def line_writer(path, plane, extent, points, j):
-            # one f-string per lattice point: the layout write_plane keeps
-            pts, vals = points.reshape(-1, 3), j.reshape(-1, 3)
-            with open(path, "w", encoding="utf-8") as fh:
-                n = int(round(math.sqrt(len(pts))))
-                fh.write(f"# plane={plane} extent={extent:.17g} "
-                         f"resolution={n}\n")
-                fh.write("# x y z jx jy jz\n")
-                for p, v in zip(pts, vals):
-                    fh.write(f"{p[0]:.17g} {p[1]:.17g} {p[2]:.17g} "
-                             f"{v[0]:.17g} {v[1]:.17g} {v[2]:.17g}\n")
-
         # odd resolution: the centre coordinate is 0.0, beside planted -0.0
         pts = observables.plane_lattice("xz", 7.3, 33)
         assert pts[16, 16, 0] == 0.0
@@ -481,10 +481,41 @@ class TestPlanes:
         j[1] = -0.0
         written, expected = tmp_path / "block.dat", tmp_path / "lines.dat"
         observables.write_plane(written, "xz", 7.3, pts, j)
-        line_writer(expected, "xz", 7.3, pts, j)
+        _line_writer(expected, "xz", 7.3, pts, j)
         text = written.read_bytes()
         assert text == expected.read_bytes()
         assert b"\n-0 0 -0 " in text and b"\n0 0 0 " in text
+
+    def test_plane_writer_blocks_match_line_writer(self, tmp_path):
+        # 257^2 lines: sixteen whole blocks and a partial last one, with
+        # 0.0 on the centre line and -0.0 planted in the last block
+        pts = observables.plane_lattice("xz", 14.0, 257)
+        n = pts.shape[0] * pts.shape[1]
+        assert n > 2 * observables.PLANE_WRITE_BLOCK
+        assert n % observables.PLANE_WRITE_BLOCK
+        j = np.random.default_rng(5).standard_normal(pts.shape) * 1e-6
+        pts[-1, -1, 1] = -0.0
+        j[128] = -0.0
+        written, expected = tmp_path / "block.dat", tmp_path / "lines.dat"
+        observables.write_plane(written, "xz", 14.0, pts, j)
+        _line_writer(expected, "xz", 14.0, pts, j)
+        text = written.read_bytes()
+        assert text == expected.read_bytes()
+        assert b"\n0 0 0 -0 -0 -0\n" in text and b"\n14 -0 14 " in text
+
+    def test_plane_writer_memory(self, tmp_path):
+        # the lines go out block by block: the writer never holds the
+        # lattice's text, its argument tuple or its boxed floats at once
+        pts = observables.plane_lattice("xy", 14.0, 256)
+        j = np.random.default_rng(7).standard_normal(pts.shape) * 1e-6
+        path = tmp_path / "plane.dat"
+        tracemalloc.start()
+        try:
+            observables.write_plane(path, "xy", 14.0, pts, j)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < path.stat().st_size
 
     def test_invalid_arguments(self, basis, exc_m1):
         with pytest.raises(ValueError):

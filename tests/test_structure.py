@@ -285,13 +285,26 @@ class TestEvaluationLayouts:
            points=st.lists(_point, min_size=1, max_size=8))
     # 6e-8 bohr off the z axis: sin theta must not round to 0 there
     @example(l=1, band_pos=0, seed=0, points=[(0.0, 2.0 ** -24, 4.49609375)])
+    # radii whose squares underflow: the direction must still be +z, and a
+    # point this close is not the origin
+    @example(l=1, band_pos=0, seed=0,
+             points=[(0.0, 0.0, 3.793414351928955e-159)])
+    @example(l=1, band_pos=0, seed=0, points=[(0.0, 0.0, 5.8e-164)])
+    @example(l=1, band_pos=0, seed=0, points=[(0.0, 0.0, 5e-324),
+                                              (0.0, 0.0, 1.0)])
     def test_table_coefficients_match_tabulated_harmonic(
             self, basis, l, band_pos, seed, points):
         orbs = _random_block(basis, l, band_pos, seed)
         coeffs = np.array([o.coeffs for o in orbs])
 
+        def radius(p):
+            # hypot, and the origin below the smallest normal float (where
+            # 1/r overflows), as in orbital_tables
+            r = np.hypot(np.hypot(p[:, 0], p[:, 1]), p[:, 2])
+            return np.where(r >= np.finfo(float).tiny, r, 0.0)
+
         def reference(p):
-            r = np.linalg.norm(p, axis=1)
+            r = radius(p)
             theta = np.arctan2(np.hypot(p[:, 0], p[:, 1]), p[:, 2])
             phi = np.arctan2(p[:, 1], p[:, 0])
             ylm = np.array([tabulated_harmonic(m, l, theta, phi)
@@ -300,7 +313,7 @@ class TestEvaluationLayouts:
 
         pts = np.array(points, dtype=float)
         psi, grad = structure.orbital_tables(basis, orbs, pts)
-        r = np.linalg.norm(pts, axis=1)
+        r = radius(pts)
         expected = reference(pts)
         # r = 0 keeps only the l = 0 part (regularized limit)
         expected[:, r == 0.0] *= l == 0
@@ -436,6 +449,79 @@ class TestAngularMomentum:
             rows = slice(l * l, (l + 1) ** 2)
             ref = np.einsum("mn,n,knc->cmk", y[rows].conj(), w, l_y[rows])
             assert np.abs(structure.angular_momentum(l) - ref).max() < 1e-12
+
+
+def _exp_harmonic_frame(lmax, dirs, pole_phi=0.0):
+    """The tables and frame by the formula the kernel replaced: phi from
+    arctan2 (pole_phi on the z axis, where arctan2 reads the signs of the
+    zeros), e^{im phi} as a complex exp for every m = -lmax..lmax gathered
+    into the rows, and each m < 0 row from its own (-1)^m phase."""
+    ct = np.clip(dirs[:, 2], -1.0, 1.0)
+    st = np.hypot(dirs[:, 0], dirs[:, 1])
+    phi = np.arctan2(dirs[:, 1], dirs[:, 0])
+    if pole_phi is not None:
+        phi = np.where(st > 0.0, phi, pole_phi)
+    q, dq = numerics.legendre_q_tables(lmax, ct)
+    ls, ms = np.array([(l, m) for l in range(lmax + 1)
+                       for m in range(-l, l + 1)]).T
+    am = np.abs(ms)
+    spow = st ** np.arange(lmax + 1)[:, None]
+    phase = np.exp(1j * np.outer(np.arange(-lmax, lmax + 1), phi))[ms + lmax]
+    sign = np.where(ms < 0, (-1.0) ** am, 1.0)[:, None]
+    qa, dqa = sign * q[ls, am], sign * dq[ls, am]
+    s_lower = spow[np.maximum(am - 1, 0)]
+    y = phase * (qa * spow[am])
+    dth = phase * (-dqa * spow[am] * st + am[:, None] * ct * s_lower * qa)
+    dph = 1j * phase * (ms[:, None] * qa * s_lower)
+    that = np.stack([ct * np.cos(phi), ct * np.sin(phi), -st], axis=1)
+    phat = np.stack([-np.sin(phi), np.cos(phi), np.zeros_like(phi)], axis=1)
+    return y, dth, dph, that, phat
+
+
+def _kernel_directions():
+    rng = np.random.default_rng(17)
+    rand = rng.normal(size=(300, 3))
+    off = 2.0 ** -24
+    special = [(0.0, 0.0, 1.0), (0.0, 0.0, -1.0),
+               (-0.0, 0.0, 1.0), (0.0, -0.0, -1.0), (-0.0, -0.0, 1.0),
+               (-0.0, -0.0, -1.0), (-0.0, 0.6, 0.8), (0.6, -0.0, -0.8),
+               (0.0, off, math.sqrt(1.0 - off * off)),
+               (-off, 0.0, -math.sqrt(1.0 - off * off)),
+               (3e-320, 1e-320, 1.0), (-5e-324, 5e-324, -1.0),
+               (1.0, 0.0, 0.0), (0.0, -1.0, 0.0)]
+    return np.vstack([rand / np.linalg.norm(rand, axis=1)[:, None],
+                      np.array(special)])
+
+
+class TestHarmonicKernel:
+    @pytest.mark.parametrize("lmax", [0, 1, 2, 3, 5, 9])
+    def test_matches_exp_formula(self, lmax):
+        # the m >= 0 rows by powers of e^{i phi} and the m < 0 rows by
+        # conjugation agree with the exp-based tables, poles and signed
+        # zeros included (phi = 0 on the axis in both)
+        dirs = _kernel_directions()
+        new = structure.harmonic_frame(lmax, dirs)
+        ref = _exp_harmonic_frame(lmax, dirs)
+        for got, want in zip(new[:3], ref[:3]):
+            assert got.shape == want.shape == ((lmax + 1) ** 2, len(dirs))
+            assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max()
+        for got, want in zip(new[3:], ref[3:]):
+            assert np.abs(got - want).max() <= 1e-14
+
+    @pytest.mark.parametrize("lmax", [1, 3, 9])
+    def test_tangential_gradient_ignores_pole_convention(self, lmax):
+        # on the axis arctan2 reads phi = 0, pi or -pi from the signs of the
+        # zeros; the tangential gradient dth theta-hat + dph phi-hat is the
+        # same vector whichever phi the tables and the frame share
+        dirs = _kernel_directions()
+        y, dth, dph, that, phat = structure.harmonic_frame(lmax, dirs)
+        got = dth[..., None] * that + dph[..., None] * phat
+        for pole_phi in (None, 0.5):
+            ry, rdth, rdph, rthat, rphat = _exp_harmonic_frame(
+                lmax, dirs, pole_phi)
+            want = rdth[..., None] * rthat + rdph[..., None] * rphat
+            assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max()
+            assert np.abs(y - ry).max() <= 1e-14 * np.abs(ry).max()
 
 
 class TestDegenerateGroups:
